@@ -420,33 +420,13 @@ def integrate_fixed_step(
     )
 
 
-def _hermite_state(path: SolutionPath, t: float) -> np.ndarray:
-    times = path.times
-    idx = int(np.searchsorted(times, t, side="left"))
-    if idx < len(times) and times[idx] == t:
-        return path.states[idx]
-    a, b = idx - 1, idx
-    dt = times[b] - times[a]
-    s = (t - times[a]) / dt
-    q = (2.0 * s - 3.0) * s * s
-    h00 = 1.0 + q
-    h01 = -q
-    h10 = ((s - 2.0) * s + 1.0) * s
-    h11 = (s - 1.0) * s * s
-    state = (
-        h00 * path.states[a]
-        + h10 * dt * path.derivs[a]
-        + h01 * path.states[b]
-        + h11 * dt * path.derivs[b]
-    )
-    if path.algebraic.size:
-        ia = path.algebraic
-        state[ia] = (1.0 - s) * path.states[a][ia] + s * path.states[b][ia]
-    return state
-
-
 def resample(path: SolutionPath, spec: SystemSpec, grid: TimeGrid) -> np.ndarray:
-    """Evaluate the QoI on the uniform grid via dense output on the path."""
+    """Evaluate the QoI on the uniform grid via dense output on the path.
+
+    Differential components use the cubic Hermite interpolant of each step,
+    algebraic ones the linear one; a grid point on a step node takes the
+    node's state exactly.
+    """
     times = path.times
     span = times[-1] - times[0]
     slack = 1e-9 * span
@@ -455,11 +435,30 @@ def resample(path: SolutionPath, spec: SystemSpec, grid: TimeGrid) -> np.ndarray
         raise GridOutsidePathError(
             f"grid [{pts[0]:.6g}, {pts[-1]:.6g}] outside path [{times[0]:.6g}, {times[-1]:.6g}]"
         )
-    out = np.empty(grid.m)
-    for i, t in enumerate(pts):
-        t_c = min(max(t, times[0]), times[-1])
-        out[i] = spec.qoi(_hermite_state(path, t_c))
-    return out
+    t = np.clip(pts, times[0], times[-1])
+    idx = np.searchsorted(times, t, side="left")
+    hit = times[idx] == t
+    b = np.maximum(idx, 1)
+    a = b - 1
+    dt = times[b] - times[a]
+    s = ((t - times[a]) / dt)[:, None]
+    q = (2.0 * s - 3.0) * s * s
+    h00 = 1.0 + q
+    h01 = -q
+    h10 = ((s - 2.0) * s + 1.0) * s
+    h11 = (s - 1.0) * s * s
+    dt = dt[:, None]
+    states = (
+        h00 * path.states[a]
+        + h10 * dt * path.derivs[a]
+        + h01 * path.states[b]
+        + h11 * dt * path.derivs[b]
+    )
+    if path.algebraic.size:
+        ia = path.algebraic
+        states[:, ia] = (1.0 - s) * path.states[a][:, ia] + s * path.states[b][:, ia]
+    states[hit] = path.states[idx[hit]]
+    return np.fromiter((spec.qoi(x) for x in states), dtype=np.float64, count=len(states))
 
 
 def solve_trajectory(

@@ -14,7 +14,7 @@ import enum
 import json
 import struct
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -199,31 +199,59 @@ def hidden_features(net: NetworkParams, norm: Normalizer, p: np.ndarray) -> np.n
     return acts[-1]
 
 
-def loss_mse(net: NetworkParams, norm: Normalizer, params: np.ndarray, targets: np.ndarray) -> float:
-    """Mean over all k*m entries of squared error, in original target units."""
-    params = np.atleast_2d(params)
-    targets = np.atleast_2d(targets)
-    if params.shape[0] == 0:
+class ForwardPass(NamedTuple):
+    """One batch through the net: the input of every layer (the normalized
+    input first) and the denormalized prediction."""
+
+    acts: List[np.ndarray]
+    pred: np.ndarray
+
+
+def _forward_pass(net: NetworkParams, norm: Normalizer, params: np.ndarray, normalized: bool) -> ForwardPass:
+    p = np.atleast_2d(_check_input(net, params))
+    if p.shape[0] == 0:
         raise ValueError("empty sample set")
-    pred = forward(net, norm, params)
-    diff = pred - targets
+    acts, out = _forward_stack(net, p if normalized else norm.normalize_in(p))
+    return ForwardPass(acts, norm.denormalize_out(out))
+
+
+def loss_mse(
+    net: NetworkParams,
+    norm: Normalizer,
+    params: np.ndarray,
+    targets: np.ndarray,
+    normalized: bool = False,
+    keep: Optional[list] = None,
+) -> float:
+    """Mean over all k*m entries of squared error, in original target units.
+
+    With `normalized`, `params` already holds `norm.normalize_in` of the
+    inputs, so a training loop normalizes each set once.  The forward pass is
+    appended to a `keep` list, for a `gradient` call at the same weights.
+    """
+    fp = _forward_pass(net, norm, params, normalized)
+    if keep is not None:
+        keep.append(fp)
+    diff = fp.pred - np.atleast_2d(targets)
     return float(np.mean(diff * diff))
 
 
 def gradient(
-    net: NetworkParams, norm: Normalizer, params: np.ndarray, targets: np.ndarray
+    net: NetworkParams,
+    norm: Normalizer,
+    params: np.ndarray,
+    targets: np.ndarray,
+    normalized: bool = False,
+    fp: Optional[ForwardPass] = None,
 ) -> NetworkGradient:
-    """Exact reverse-mode gradient of loss_mse w.r.t. every A_j and b_j."""
-    params = np.atleast_2d(_check_input(net, params))
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    k = params.shape[0]
-    if k == 0:
-        raise ValueError("empty sample set")
+    """Exact reverse-mode gradient of loss_mse w.r.t. every A_j and b_j.
 
-    z = norm.normalize_in(params)
-    acts, out = _forward_stack(net, z)
-    pred = norm.denormalize_out(out)
-    m = targets.shape[1]
+    `normalized` is as in `loss_mse`.  Given `fp`, the forward pass that
+    `loss_mse` kept for these weights and inputs, no forward pass is rerun.
+    """
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    acts, pred = fp if fp is not None else _forward_pass(net, norm, params, normalized)
+    k, m = pred.shape[0], targets.shape[1]
 
     # dL/d(out) includes the denormalization scaling of each target component
     delta = (2.0 / (k * m)) * (pred - targets) * norm.output_scale()

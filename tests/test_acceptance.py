@@ -44,6 +44,9 @@ from trajsurrogate.training import StopReason, TrainConfig, early_stop_check, tr
 
 from tests.conftest import decay_system
 
+# the whole gate builds the full reference experiment: `pytest -m "not slow"` skips it
+pytestmark = pytest.mark.slow
+
 _ROLES = ("train", "validation", "test")
 _GENERATION_BUDGET_S = 600.0
 _TRAINING_BUDGET_S = 900.0

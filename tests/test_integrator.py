@@ -136,6 +136,56 @@ def test_resample_exact_at_knots():
     assert vals[-1] == spec.qoi(path.states[-1])
 
 
+def _resample_per_point(path, spec, grid):
+    """The per-point dense output that `resample` replaced, kept as its oracle."""
+    times = path.times
+    out = np.empty(grid.m)
+    for i, t in enumerate(grid.points):
+        t = min(max(t, times[0]), times[-1])
+        idx = int(np.searchsorted(times, t, side="left"))
+        if idx < len(times) and times[idx] == t:
+            out[i] = spec.qoi(path.states[idx])
+            continue
+        a, b = idx - 1, idx
+        dt = times[b] - times[a]
+        s = (t - times[a]) / dt
+        q = (2.0 * s - 3.0) * s * s
+        h00 = 1.0 + q
+        h01 = -q
+        h10 = ((s - 2.0) * s + 1.0) * s
+        h11 = (s - 1.0) * s * s
+        state = (
+            h00 * path.states[a]
+            + h10 * dt * path.derivs[a]
+            + h01 * path.states[b]
+            + h11 * dt * path.derivs[b]
+        )
+        if path.algebraic.size:
+            ia = path.algebraic
+            state[ia] = (1.0 - s) * path.states[a][ia] + s * path.states[b][ia]
+        out[i] = spec.qoi(state)
+    return out
+
+
+def test_resample_matches_per_point_oracle_bitwise():
+    domain = default_domain()
+    rng = np.random.default_rng(31)
+    cases = [(circuit_system(), p, 200) for p in
+             [domain.midpoint()] + [domain.lower + rng.random(4) * (domain.upper - domain.lower) for _ in range(2)]]
+    # the DAE has an algebraic component; m = 40 puts grid points on step nodes
+    cases += [(coupled_dae(), None, m) for m in (40, 77)]
+    for spec, p, m in cases:
+        path = integrate(spec, p, ToleranceSettings())
+        grid = TimeGrid.for_system(spec, m=m)
+        assert resample(path, spec, grid).tobytes() == _resample_per_point(path, spec, grid).tobytes()
+    # a path whose nodes are the grid points: every point is an exact hit
+    spec = coupled_dae()
+    path = integrate_fixed_step(spec, None, 1.0 / 40, ToleranceSettings())
+    grid = TimeGrid(spec.t0, spec.tf, 40)
+    assert path.algebraic.size
+    assert resample(path, spec, grid).tobytes() == _resample_per_point(path, spec, grid).tobytes()
+
+
 def test_resample_outside_path_raises():
     spec = decay_system(tf=1.0)
     path = integrate(spec, None, ToleranceSettings())

@@ -1,5 +1,6 @@
 """Optimizer steps, stopping rules, and the full training loop."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from trajsurrogate.neuralnet import (
     Normalizer,
     TransferKind,
     forward,
+    gradient,
     init_weights,
     loss_mse,
 )
@@ -324,3 +326,70 @@ def test_training_log_format(tmp_path):
     first = data_rows[0].split(",")
     assert first[0] == "1"
     assert float(first[1]) == record.mse_train[0]
+
+
+def _digest(values):
+    return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+# Recorded before losses and gradients ran on weight views, on pre-normalized
+# inputs and on the kept forward pass: those changes must not move a bit.
+# (epochs, stop reason, sha256 of mse_train + mse_valid + mse_test, sha256 of pack(result))
+_RECORDED_FITS = {
+    ("cg", TransferKind.PURELIN): (
+        36, StopReason.MIN_GRADIENT,
+        "0c08f3c244da84e82a73ea716d367e87919ee29ead824d83590182b03f2ad758",
+        "cc9fbebbc6967391499468f3d85cf8d4af544fd336fe62e8982d8461adfd9580",
+    ),
+    ("oss", TransferKind.TANSIG): (
+        40, StopReason.MAX_EPOCHS,
+        "b5e70feeb1f5b0e9603750ba033c39451b8390ae5b41b24404d6887093a7da6a",
+        "2bc971f92909f69b840778c91d48cd570b9f707d4171186ecfa9f157e6245e7c",
+    ),
+    ("gdx", TransferKind.HARDLIM): (
+        40, StopReason.MAX_EPOCHS,
+        "2836e192544c40e1337890d83b785fb88b9489a4af016c419f0abd522dbc0fcb",
+        "f4afd6356f5279cd55c4bd04862ca22c64191af9471575c09d39d368efcc08f0",
+    ),
+}
+
+
+@pytest.mark.parametrize("method, kind", list(_RECORDED_FITS))
+def test_fit_matches_recorded_iterates_bitwise(method, kind):
+    sets = affine_sets(seed=12)
+    q, m = sets[0].q, sets[0].targets.shape[1]
+    net = init_weights([q, 16, 16, m], kind, RngSeed(13, "weights"))
+    norm = Normalizer.from_training(sets[0].params, sets[0].targets)
+    result, record = train(net, norm, *sets, TrainConfig(method=method, max_epochs=40))
+    epochs, stop, record_sha, weights_sha = _RECORDED_FITS[method, kind]
+    assert (record.elapsed_epochs, record.stop_reason) == (epochs, stop)
+    assert _digest(record.mse_train + record.mse_valid + record.mse_test) == record_sha
+    assert _digest(pack(result)) == weights_sha
+
+
+@pytest.mark.parametrize("kind", list(TransferKind))
+def test_gradient_on_kept_forward_pass_is_bitwise_fresh(kind):
+    sets = affine_sets(seed=13)
+    s = sets[0]
+    net = init_weights([s.q, 16, 16, s.targets.shape[1]], kind, RngSeed(14, "weights"))
+    norm = Normalizer.from_training(s.params, s.targets)
+    z = norm.normalize_in(s.params)
+    kept = []
+    loss = loss_mse(net, norm, z, s.targets, normalized=True, keep=kept)
+    assert loss == loss_mse(net, norm, s.params, s.targets)
+    fresh = gradient(net, norm, s.params, s.targets)
+    for reused in (gradient(net, norm, z, s.targets, normalized=True, fp=kept[0]),
+                   gradient(net, norm, z, s.targets, normalized=True)):
+        for a, b in zip(fresh.weights + fresh.biases, reused.weights + reused.biases):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("method, kind", list(_RECORDED_FITS))
+def test_train_leaves_caller_arrays_unchanged(method, kind):
+    sets = affine_sets(seed=14)
+    net, norm = default_net(sets, kind=kind)
+    arrays = net.weights + net.biases + [a for s in sets for a in (s.params, s.targets)]
+    before = [a.copy() for a in arrays]
+    result, _ = train(net, norm, *sets, TrainConfig(method=method, max_epochs=10))
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+    assert not any(np.shares_memory(a, b) for a in result.weights + result.biases for b in arrays)
