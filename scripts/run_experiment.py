@@ -21,43 +21,28 @@ import numpy as np
 from trajsurrogate import (
     Normalizer,
     RngSeed,
-    SampleSet,
-    TimeGrid,
-    ToleranceSettings,
     TrainConfig,
     TransferKind,
-    circuit_system,
-    default_domain,
     error_stats,
     format_error_table,
     forward,
-    generate_targets,
     init_weights,
-    sample_parameters,
-    save_dataset,
+    load_dataset,
     save_model,
     train,
     write_training_log,
 )
+from trajsurrogate.cli import RunConfig, cmd_generate
+from trajsurrogate.dataset import ROLES
 from trajsurrogate.evaluation import total_variation
 
 
-def build_datasets(args, spec, grid, out: Path):
-    domain = default_domain()
-    seed = RngSeed(args.seed_data, "sampling")
-    counts = {"train": args.k, "validation": args.k, "test": args.k}
-    params = sample_parameters(domain, sum(counts.values()), seed)
-    tol = ToleranceSettings()
-    sets = {}
-    row = 0
-    for role, k in counts.items():
-        t0 = time.perf_counter()
-        targets = generate_targets(spec, params[row : row + k], grid, tol)
-        print(f"generated {role} ({k} solves) in {time.perf_counter() - t0:.1f} s")
-        sets[role] = SampleSet(role, params[row : row + k], targets, grid, seed)
-        save_dataset(sets[role], out / f"{role}.ds")
-        row += k
-    return sets
+def build_datasets(args, hidden, out: Path):
+    """The generate command's datasets: k circuit solves per set at default tolerances."""
+    cfg = RunConfig(out=str(out), m=args.m, n_train=args.k, n_validation=args.k, n_test=args.k,
+                    seed_data=args.seed_data, seed_weights=args.seed_weights, hidden=hidden)
+    cmd_generate(cfg)
+    return {role: load_dataset(out / f"{role}.ds") for role in ROLES}
 
 
 def main() -> None:
@@ -78,12 +63,9 @@ def main() -> None:
         args.k, args.m, args.hidden, args.max_epochs = 30, 50, "32,32", 200
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    spec = circuit_system()
-    grid = TimeGrid.for_system(spec, m=args.m)
     hidden = [int(h) for h in args.hidden.split(",")]
 
-    sets = build_datasets(args, spec, grid, out)
+    sets = build_datasets(args, hidden, out)
     norm = Normalizer.from_training(sets["train"].params, sets["train"].targets)
 
     outcome_rows = []
@@ -93,7 +75,7 @@ def main() -> None:
         kind = TransferKind(transfer)
         for method in args.methods.split(","):
             label = f"{method}/{transfer}"
-            sizes = [sets["train"].q] + hidden + [grid.m]
+            sizes = [sets["train"].q] + hidden + [args.m]
             net = init_weights(sizes, kind, RngSeed(args.seed_weights, "weights"))
             cfg = TrainConfig(method=method, max_epochs=args.max_epochs)
             t0 = time.perf_counter()

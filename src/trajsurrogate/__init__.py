@@ -18,7 +18,6 @@ from .dataset import (
 from .dynsys import (
     CircuitConstants,
     ParameterDomain,
-    ParameterVector,
     SystemSpec,
     circuit_system,
     default_domain,
@@ -70,7 +69,6 @@ __all__ = [
     "NetworkParams",
     "Normalizer",
     "ParameterDomain",
-    "ParameterVector",
     "RngSeed",
     "SampleSet",
     "StopReason",

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .dataset import (
+    ROLES,
     RngSeed,
     SampleSet,
     export_dataset_csv,
@@ -32,6 +33,7 @@ from .dynsys import ParameterDomain, SystemSpec, circuit_system, default_domain
 from .evaluation import error_stats, format_error_table, write_report_csv
 from .integrator import TimeGrid, ToleranceSettings, solve_trajectory
 from .neuralnet import (
+    NetworkParams,
     Normalizer,
     TransferKind,
     forward,
@@ -40,8 +42,6 @@ from .neuralnet import (
     save_model,
 )
 from .training import TrainConfig, TrainMethod, train, write_training_log
-
-_ROLES = ("train", "validation", "test")
 
 
 class ConfigError(RuntimeError):
@@ -172,7 +172,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def _dataset_paths(data_dir: Path) -> Dict[str, Path]:
-    return {role: data_dir / f"{role}.ds" for role in _ROLES}
+    return {role: data_dir / f"{role}.ds" for role in ROLES}
 
 
 def _load_sets(data_dir: Path) -> Dict[str, SampleSet]:
@@ -182,6 +182,16 @@ def _load_sets(data_dir: Path) -> Dict[str, SampleSet]:
             raise ConfigError(f"missing dataset file {path}; run 'generate' first")
         sets[role] = load_dataset(path)
     return sets
+
+
+def _check_widths(net: NetworkParams, sample_set: SampleSet) -> None:
+    """A model maps q parameters to m grid values; the data must agree."""
+    q, m = net.sizes[0], net.sizes[-1]
+    if (q, m) != (sample_set.q, sample_set.grid.m):
+        raise ConfigError(
+            f"model maps {q} parameters to {m} grid points, but the {sample_set.role} "
+            f"set has q={sample_set.q} and m={sample_set.grid.m}"
+        )
 
 
 def cmd_generate(cfg: RunConfig, csv_export: bool = False) -> None:
@@ -196,7 +206,7 @@ def cmd_generate(cfg: RunConfig, csv_export: bool = False) -> None:
     all_params = sample_parameters(domain, sum(counts.values()), seed)
 
     start_row = 0
-    for role in _ROLES:
+    for role in ROLES:
         k = counts[role]
         params = all_params[start_row : start_row + k]
         start_row += k
@@ -260,7 +270,7 @@ def cmd_train(cfg: RunConfig, data_dir: Optional[str] = None) -> None:
     )
     print(
         "final MSE: "
-        + ", ".join(f"{role} {final[role]:.4g}" for role in _ROLES)
+        + ", ".join(f"{role} {final[role]:.4g}" for role in ROLES)
     )
 
 
@@ -271,14 +281,16 @@ def cmd_evaluate(cfg: RunConfig, model_path: Optional[str] = None, data_dir: Opt
 
     label = f"{metadata.get('method', '?')}/{metadata.get('transfer', '?')}"
     reports = {}
-    for role in _ROLES:
+    for role in ROLES:
+        _check_widths(net, sets[role])
+    for role in ROLES:
         report = error_stats(net, norm, sets[role])
         reports[role] = report
         write_report_csv(report, out / f"errors_{role}.csv")
     table = format_error_table({label: reports})
     (out / "report.txt").write_text(table)
     print(table, end="")
-    mse_line = ", ".join(f"{role} {reports[role].mse:.4g}" for role in _ROLES)
+    mse_line = ", ".join(f"{role} {reports[role].mse:.4g}" for role in ROLES)
     print(f"MSE: {mse_line}")
 
 
@@ -311,9 +323,10 @@ def cmd_predict(cfg: RunConfig, params: str, compare: bool = False) -> None:
 def cmd_plot_data(cfg: RunConfig, indices: str, role: str = "test") -> None:
     out = _out_dir(cfg)
     net, norm, _ = load_model(out / "model.tjn")
-    if role not in _ROLES:
-        raise ConfigError(f"role must be one of {_ROLES}")
+    if role not in ROLES:
+        raise ConfigError(f"role must be one of {ROLES}")
     sample_set = _load_sets(out)[role]
+    _check_widths(net, sample_set)
     idx_list = [int(v) for v in indices.split(",")]
     for idx in idx_list:
         if not 0 <= idx < sample_set.k:

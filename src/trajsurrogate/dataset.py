@@ -25,7 +25,8 @@ logger = logging.getLogger(__name__)
 
 _MAGIC = b"TJDS"
 _VERSION = 1
-_ROLES = ("train", "validation", "test")
+# the three sample sets of a run, in report order
+ROLES = ("train", "validation", "test")
 
 # spawn keys per named stream: sampling and weight draws never collide
 _STREAM_IDS = {"sampling": 0, "weights": 1}
@@ -77,8 +78,8 @@ class SampleSet:
     seed: Optional[RngSeed] = None
 
     def __post_init__(self):
-        if self.role not in _ROLES:
-            raise ValueError(f"role must be one of {_ROLES}, got {self.role!r}")
+        if self.role not in ROLES:
+            raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
         self.params = np.atleast_2d(np.asarray(self.params, dtype=np.float64))
         self.targets = np.atleast_2d(np.asarray(self.targets, dtype=np.float64))
         if self.params.shape[0] != self.targets.shape[0]:

@@ -29,31 +29,6 @@ class DimensionMismatchError(ValueError):
 
 
 @dataclass(frozen=True)
-class ParameterVector:
-    """Point in the four-dimensional parameter cuboid: two capacitances [F],
-    two resistances [Ohm]."""
-
-    c1: float
-    c2: float
-    r1: float
-    r2: float
-
-    def __post_init__(self) -> None:
-        if not all(v > 0 for v in (self.c1, self.c2, self.r1, self.r2)):
-            raise ValueError("all parameters must be strictly positive")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.r1, self.r2], dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, p: np.ndarray) -> "ParameterVector":
-        p = np.asarray(p, dtype=np.float64)
-        if p.shape != (4,):
-            raise DimensionMismatchError(f"expected 4 parameters, got shape {p.shape}")
-        return cls(*p)
-
-
-@dataclass(frozen=True)
 class ParameterDomain:
     """Componentwise bounds of the parameter cuboid."""
 
@@ -75,7 +50,7 @@ class ParameterDomain:
         return self.lower.shape[0]
 
     def contains(self, p) -> bool:
-        arr = p.as_array() if isinstance(p, ParameterVector) else np.asarray(p)
+        arr = np.asarray(p)
         return bool(np.all(arr >= self.lower) and np.all(arr <= self.upper))
 
     def midpoint(self) -> np.ndarray:
@@ -215,14 +190,13 @@ def finite_difference_jacobian(
     t: float,
     x: np.ndarray,
     p: np.ndarray,
-    rel_step: float = 1e-6,
 ) -> np.ndarray:
-    """Central-difference df/dx with step rel_step*max(1, |x_j|) per column."""
+    """Central-difference df/dx with step 1e-6*max(1, |x_j|) per column."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     jac = np.empty((n, n))
     for j in range(n):
-        h = rel_step * max(1.0, abs(x[j]))
+        h = 1e-6 * max(1.0, abs(x[j]))
         xp = x.copy()
         xm = x.copy()
         xp[j] += h
@@ -231,6 +205,6 @@ def finite_difference_jacobian(
     return jac
 
 
-def algebraic_rows(mass: np.ndarray, tol: float = 0.0) -> np.ndarray:
+def algebraic_rows(mass: np.ndarray) -> np.ndarray:
     """Indices of all-zero mass-matrix rows (the algebraic equations)."""
-    return np.flatnonzero(np.all(np.abs(mass) <= tol, axis=1))
+    return np.flatnonzero(np.all(mass == 0.0, axis=1))

@@ -15,7 +15,7 @@ from typing import Dict, List, Union
 
 import numpy as np
 
-from .dataset import SampleSet
+from .dataset import ROLES, SampleSet
 from .neuralnet import NetworkParams, Normalizer, forward
 
 
@@ -74,25 +74,32 @@ def total_variation(traj: np.ndarray) -> float:
 
 
 def error_stats(net: NetworkParams, norm: Normalizer, sample_set: SampleSet) -> ErrorReport:
-    """Evaluate the surrogate on every sample and aggregate the errors."""
+    """Evaluate the surrogate on every sample and aggregate the errors.
+
+    Row i of ``errors`` is l1_relative_error of sample i, to the bit; the
+    first exact zero in row-major order raises ZeroDenominatorError.
+    """
     if sample_set.k == 0:
         raise ValueError("empty sample set")
     preds = forward(net, norm, sample_set.params)
+    targets = sample_set.targets
+    if preds.shape[1] != targets.shape[1]:
+        raise ValueError(
+            f"prediction width {preds.shape[1]} differs from target width {targets.shape[1]}"
+        )
+    zeros = np.argwhere(targets == 0.0)
+    if zeros.size:
+        raise ZeroDenominatorError(int(zeros[0, 1]), sample=int(zeros[0, 0]))
     t0, tf = sample_set.grid.t0, sample_set.grid.tf
-    errors = np.empty(sample_set.k)
-    for i in range(sample_set.k):
-        try:
-            errors[i] = l1_relative_error(preds[i], sample_set.targets[i], t0, tf)
-        except ZeroDenominatorError as exc:
-            raise ZeroDenominatorError(exc.index, sample=i) from None
-    diff = preds - sample_set.targets
+    diff = preds - targets
+    errors = (tf - t0) / targets.shape[1] * np.sum(np.abs(diff) / np.abs(targets), axis=1)
     return ErrorReport(
         role=sample_set.role,
         errors=errors,
         mean=float(np.mean(errors)),
         stdev=float(np.std(errors)),
         mse=float(np.mean(diff * diff)),
-        min_abs_target=np.min(np.abs(sample_set.targets), axis=1),
+        min_abs_target=np.min(np.abs(targets), axis=1),
     )
 
 
@@ -105,13 +112,10 @@ def write_report_csv(report: ErrorReport, path: Union[str, Path]) -> None:
             writer.writerow([i, repr(float(e)), repr(float(t))])
 
 
-_ROLE_ORDER = ("train", "validation", "test")
-
-
 def format_error_table(reports: Dict[str, Dict[str, ErrorReport]]) -> str:
     """Text table: one mean block and one st.dev. block, nets as rows and
     sample sets as columns."""
-    roles = [r for r in _ROLE_ORDER if any(r in by_role for by_role in reports.values())]
+    roles = [r for r in ROLES if any(r in by_role for by_role in reports.values())]
     label_width = max([len(label) for label in reports] + [8])
     header = "  ".join([" " * label_width] + [f"{r:>12}" for r in roles])
     lines: List[str] = []

@@ -8,22 +8,18 @@ damped modified Newton iteration on the residual
 with iteration matrix (a0/h)*M - df/dx.  Accepted steps record the state and
 the BDF difference-quotient derivative, from which a cubic Hermite dense
 output reconstructs the solution on an arbitrary uniform grid (algebraic
-components fall back to linear interpolation).
+components fall back to linear interpolation).  The fixed-step driver takes
+the same start-up and steps at t0 + k*h without error control.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
-from .dynsys import (
-    DiodeOverflowError,
-    ParameterVector,
-    SystemSpec,
-    algebraic_rows,
-)
+from .dynsys import DiodeOverflowError, SystemSpec, algebraic_rows
 
 # error-estimate constants: local truncation error of BDF order k is about
 # C_k times the predictor-corrector difference (fixed-step values)
@@ -120,24 +116,17 @@ class SolutionPath:
             raise ValueError("step times must be strictly increasing")
 
 
-def _as_param_array(p: Union[ParameterVector, np.ndarray, Sequence[float]]) -> np.ndarray:
-    if isinstance(p, ParameterVector):
-        return p.as_array()
-    return np.asarray(p, dtype=np.float64)
-
-
 def _weights(x: np.ndarray, tol: ToleranceSettings) -> np.ndarray:
     return tol.atol + tol.rtol * np.abs(x)
 
 
 def _initial_slope(
-    spec: SystemSpec, p: np.ndarray, mass: np.ndarray, f0: np.ndarray, alg: np.ndarray
+    spec: SystemSpec, p: np.ndarray, mass: np.ndarray, x0: np.ndarray, f0: np.ndarray, alg: np.ndarray
 ) -> np.ndarray:
     """Consistent x'(t0): mass rows for differential components, the
     differentiated constraint J_alg x' = -df_alg/dt for algebraic ones."""
     if alg.size == 0:
         return np.linalg.solve(mass, f0)
-    x0 = np.asarray(spec.initial(p), dtype=np.float64)
     jac = spec.state_jacobian(spec.t0, x0, p)
     eps = 1e-7 * max(1.0, spec.tf - spec.t0)
     dfdt = (spec.rhs(spec.t0 + eps, x0, p) - f0) / eps
@@ -152,6 +141,49 @@ def _initial_slope(
         slope, *_ = np.linalg.lstsq(mass, f0, rcond=None)
         slope[alg] = 0.0
         return slope
+
+
+def _start(spec: SystemSpec, p: np.ndarray, tol: ToleranceSettings):
+    """Return (p, mass, algebraic rows, x0, x'(t0)) after checking that x0
+    satisfies the algebraic equations to within atol."""
+    p = np.asarray(p, dtype=np.float64)
+    mass = np.asarray(spec.mass(p), dtype=np.float64)
+    x0 = np.asarray(spec.initial(p), dtype=np.float64)
+    alg = algebraic_rows(mass)
+    f0 = spec.rhs(spec.t0, x0, p)
+    if alg.size:
+        resid0 = float(np.max(np.abs(f0[alg])))
+        if resid0 > tol.atol:
+            raise InconsistentInitialValuesError(
+                f"algebraic residual {resid0:.3e} exceeds atol {tol.atol:.3e} at t0"
+            )
+    return p, mass, alg, x0, _initial_slope(spec, p, mass, x0, f0, alg)
+
+
+def _predict(times: list, states: list, derivs: list, t_new: float, h_eff: float):
+    """Return (order, predictor, a0/h, history term) of the next BDF step.
+
+    BDF1 until three points are known, then variable-step BDF2 with step
+    ratio r = h_eff/h_prev (the fixed-coefficient formula at r = 1).  The
+    history term makes the step's derivative a0/h * x_new + hist.
+    """
+    x_n = states[-1]
+    if len(times) < 3:
+        if len(times) >= 2:
+            d1 = (states[-1] - states[-2]) / (times[-1] - times[-2])
+        else:
+            d1 = derivs[0]
+        return 1, x_n + h_eff * d1, 1.0 / h_eff, -x_n / h_eff
+    h_prev = times[-1] - times[-2]
+    r = h_eff / h_prev
+    a0 = (1.0 + 2.0 * r) / (1.0 + r)
+    a1 = -(1.0 + r)
+    a2 = r * r / (1.0 + r)
+    hist = (a1 * x_n + a2 * states[-2]) / h_eff
+    d1 = (states[-1] - states[-2]) / h_prev
+    d2 = (d1 - (states[-2] - states[-3]) / (times[-2] - times[-3])) / (times[-1] - times[-3])
+    dt_new = t_new - times[-1]
+    return 2, x_n + dt_new * d1 + dt_new * (t_new - times[-2]) * d2, a0 / h_eff, hist
 
 
 def _initial_step(spec: SystemSpec, x0: np.ndarray, slope0: np.ndarray, tol: ToleranceSettings) -> float:
@@ -174,7 +206,7 @@ class _Newton:
         self.p = p
         self.mass = mass
         self.tol = tol
-        self.jac: Optional[np.ndarray] = None
+        self.jac: Optional[np.ndarray] = None  # set by refresh before the first solve
         self.slow = False  # convergence degraded on the last attempt
 
     def refresh(self, t: float, x: np.ndarray) -> None:
@@ -187,15 +219,12 @@ class _Newton:
 
     def solve(self, t_new: float, x_pred: np.ndarray, a0_h: float, hist: np.ndarray):
         """Return (x, converged, iterations)."""
-        if self.jac is None:
-            self.refresh(t_new, x_pred)
         iter_matrix = a0_h * self.mass - self.jac
 
         x = x_pred.copy()
-        resid = self._eval_residual_damped(t_new, x, a0_h, hist, fallback=None)
+        resid = self._try_residual(t_new, x, a0_h, hist)
         if resid is None:
             return x, False, 0
-        resid, x = resid
 
         prev_norm = np.inf
         for it in range(1, _NEWTON_MAX_ITER + 1):
@@ -238,47 +267,20 @@ class _Newton:
             return None
         return r
 
-    def _eval_residual_damped(self, t, x, a0_h, hist, fallback):
-        # pull an unevaluable predictor back toward the last accepted state
-        for _ in range(8):
-            r = self._try_residual(t, x, a0_h, hist)
-            if r is not None:
-                return r, x
-            if fallback is None:
-                return None
-            x = 0.5 * (x + fallback)
-        return None
-
 
 def integrate(
     spec: SystemSpec,
-    p: Union[ParameterVector, np.ndarray],
+    p: np.ndarray,
     tol: ToleranceSettings = ToleranceSettings(),
 ) -> SolutionPath:
     """Solve the IVP from spec.t0 to spec.tf with adaptive BDF(1,2)."""
-    p_arr = _as_param_array(p)
-    mass = np.asarray(spec.mass(p_arr), dtype=np.float64)
-    x0 = np.asarray(spec.initial(p_arr), dtype=np.float64)
-    alg = algebraic_rows(mass)
+    p, mass, alg, x0, slope0 = _start(spec, p, tol)
+    times, states, derivs = [spec.t0], [x0], [slope0]
 
-    f0 = spec.rhs(spec.t0, x0, p_arr)
-    if alg.size:
-        resid0 = float(np.max(np.abs(f0[alg])))
-        if resid0 > tol.atol:
-            raise InconsistentInitialValuesError(
-                f"algebraic residual {resid0:.3e} exceeds atol {tol.atol:.3e} at t0"
-            )
-
-    slope0 = _initial_slope(spec, p_arr, mass, f0, alg)
-    times = [spec.t0]
-    states = [x0]
-    derivs = [slope0]
-
-    newton = _Newton(spec, p_arr, mass, tol)
+    newton = _Newton(spec, p, mass, tol)
     newton.refresh(spec.t0, x0)
 
     t = spec.t0
-    x = x0
     h = _initial_step(spec, x0, slope0, tol)
     attempts = 0
     halvings = 0
@@ -294,36 +296,16 @@ def integrate(
             raise StepUnderflowError(f"step {h_eff:.3e} below min_step {tol.min_step:.3e} at t={t:.6g}")
         t_new = spec.tf if clamped else t + h_eff
 
-        order = 2 if len(times) >= 3 else 1
+        order, x_pred, a0_h, hist = _predict(times, states, derivs, t_new, h_eff)
         x_n = states[-1]
-        if order == 1:
-            if len(times) >= 2:
-                d1 = (states[-1] - states[-2]) / (times[-1] - times[-2])
-            else:
-                d1 = derivs[0]
-            x_pred = x_n + h_eff * d1
-            a0 = 1.0
-            hist = -x_n / h_eff
-        else:
-            h_prev = times[-1] - times[-2]
-            r = h_eff / h_prev
-            a0 = (1.0 + 2.0 * r) / (1.0 + r)
-            a1 = -(1.0 + r)
-            a2 = r * r / (1.0 + r)
-            hist = (a1 * x_n + a2 * states[-2]) / h_eff
-            d1 = (states[-1] - states[-2]) / h_prev
-            d2 = (d1 - (states[-2] - states[-3]) / (times[-2] - times[-3])) / (times[-1] - times[-3])
-            dt_new = t_new - times[-1]
-            x_pred = x_n + dt_new * d1 + dt_new * (t_new - times[-2]) * d2
-
-        x_new, converged, _ = newton.solve(t_new, x_pred, a0 / h_eff, hist)
+        x_new, converged, _ = newton.solve(t_new, x_pred, a0_h, hist)
 
         if not converged:
-            if newton.jac is not None and not newton.slow:
+            if not newton.slow:
                 # retry once at the same step with a fresh Jacobian
                 newton.refresh(t_new, x_n)
                 newton.slow = True
-                x_new, converged, _ = newton.solve(t_new, x_pred, a0 / h_eff, hist)
+                x_new, converged, _ = newton.solve(t_new, x_pred, a0_h, hist)
             if not converged:
                 halvings += 1
                 if halvings > _MAX_STEP_HALVINGS:
@@ -347,12 +329,10 @@ def integrate(
 
         factor = min(5.0, max(0.2, 0.9 * max(err_norm, 1e-10) ** (-1.0 / (order + 1))))
         if err_norm <= 1.0:
-            xdot_new = a0 / h_eff * x_new + hist
             times.append(t_new)
             states.append(x_new)
-            derivs.append(xdot_new)
+            derivs.append(a0_h * x_new + hist)
             t = t_new
-            x = x_new
             h = h_eff * factor
         else:
             h = h_eff * factor
@@ -362,58 +342,39 @@ def integrate(
                 )
 
     return SolutionPath(
-        times=np.array(times),
-        states=np.array(states),
-        derivs=np.array(derivs),
-        algebraic=alg,
+        times=np.array(times), states=np.array(states), derivs=np.array(derivs), algebraic=alg
     )
 
 
 def integrate_fixed_step(
     spec: SystemSpec,
-    p: Union[ParameterVector, np.ndarray],
+    p: np.ndarray,
     h: float,
     tol: ToleranceSettings = ToleranceSettings(rtol=1e-10, atol=1e-12),
 ) -> SolutionPath:
-    """Fixed-step BDF2 (BDF1 on the first step), no error control.
+    """The adaptive method's steps at t0 + k*h, with a fresh Jacobian on
+    every step and no error control.
 
     The step count is round((tf - t0)/h); h must divide the span to float
     accuracy.  Used for observed-order studies.
     """
-    p_arr = _as_param_array(p)
-    mass = np.asarray(spec.mass(p_arr), dtype=np.float64)
-    x0 = np.asarray(spec.initial(p_arr), dtype=np.float64)
-    alg = algebraic_rows(mass)
-
     n_steps = int(round((spec.tf - spec.t0) / h))
     if abs(spec.t0 + n_steps * h - spec.tf) > 1e-9 * (spec.tf - spec.t0):
         raise ValueError("h must divide the time span")
+    p, mass, alg, x0, slope0 = _start(spec, p, tol)
+    times, states, derivs = [spec.t0], [x0], [slope0]
 
-    f0 = spec.rhs(spec.t0, x0, p_arr)
-    slope0 = _initial_slope(spec, p_arr, mass, f0, alg)
-    times = [spec.t0]
-    states = [x0]
-    derivs = [slope0]
-
-    newton = _Newton(spec, p_arr, mass, tol)
+    newton = _Newton(spec, p, mass, tol)
     for k in range(1, n_steps + 1):
         t_new = spec.t0 + k * h
-        x_n = states[-1]
-        newton.refresh(times[-1], x_n)
-        if len(times) == 1:
-            x_pred = x_n + h * slope0
-            a0 = 1.0
-            hist = -x_n / h
-        else:
-            a0 = 1.5
-            hist = (-2.0 * x_n + 0.5 * states[-2]) / h
-            x_pred = 2.0 * x_n - states[-2]
-        x_new, converged, _ = newton.solve(t_new, x_pred, a0 / h, hist)
+        newton.refresh(times[-1], states[-1])
+        _, x_pred, a0_h, hist = _predict(times, states, derivs, t_new, h)
+        x_new, converged, _ = newton.solve(t_new, x_pred, a0_h, hist)
         if not converged:
             raise NewtonDivergenceError(f"fixed-step Newton failed at t={t_new:.6g}")
         times.append(t_new)
         states.append(x_new)
-        derivs.append(a0 / h * x_new + hist)
+        derivs.append(a0_h * x_new + hist)
 
     return SolutionPath(
         times=np.array(times), states=np.array(states), derivs=np.array(derivs), algebraic=alg
@@ -463,7 +424,7 @@ def resample(path: SolutionPath, spec: SystemSpec, grid: TimeGrid) -> np.ndarray
 
 def solve_trajectory(
     spec: SystemSpec,
-    p: Union[ParameterVector, np.ndarray],
+    p: np.ndarray,
     grid: TimeGrid,
     tol: ToleranceSettings = ToleranceSettings(),
 ) -> np.ndarray:

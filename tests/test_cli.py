@@ -144,6 +144,23 @@ def test_plot_data_rejects_out_of_range_index(pipeline, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_model_and_data_widths_must_agree(pipeline, tmp_path, capsys):
+    config, out = pipeline
+    # data generated at m = 10 for a model trained at m = 20
+    other = tmp_path / "m10"
+    other_config = write_config(tmp_path, other, grid={"m": 10},
+                                samples={"train": 2, "validation": 1, "test": 1})
+    assert main(["generate", "--config", str(other_config)]) == 0
+    capsys.readouterr()
+    model = out / "model.tjn"
+    assert main(["evaluate", "--config", str(config), "--model", str(model), "--data", str(other)]) == 2
+    assert "error: ConfigError" in capsys.readouterr().err
+    (other / "model.tjn").write_bytes(model.read_bytes())
+    assert main(["plot-data", "--config", str(other_config), "--indices", "0"]) == 2
+    assert "error: ConfigError" in capsys.readouterr().err
+    assert not (other / "sample_0.csv").exists()
+
+
 def test_missing_dataset_is_reported(tmp_path, capsys):
     config = write_config(tmp_path, tmp_path / "void")
     assert main(["train", "--config", str(config)]) == 2

@@ -12,7 +12,6 @@ from trajsurrogate.dynsys import (
     DimensionMismatchError,
     DiodeOverflowError,
     ParameterDomain,
-    ParameterVector,
     algebraic_rows,
     circuit_system,
     default_domain,
@@ -79,16 +78,6 @@ def test_input_voltage_shape():
     assert input_voltage(0.0) == 0.0
     assert input_voltage(CONST.period / 4.0) == pytest.approx(CONST.amplitude, rel=1e-12)
     assert input_voltage(0.3) == pytest.approx(input_voltage(0.3 + CONST.period), abs=1e-9)
-
-
-def test_parameter_vector_round_trip():
-    p = ParameterVector(2.5e-9, 2.5e-9, 1.5e6, 1.5e8)
-    assert np.array_equal(ParameterVector.from_array(p.as_array()).as_array(), p.as_array())
-
-
-def test_parameter_vector_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        ParameterVector(0.0, 2.5e-9, 1.5e6, 1.5e8)
 
 
 def test_default_domain_bounds():

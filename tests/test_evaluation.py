@@ -100,18 +100,21 @@ def test_perfect_surrogate_has_zero_stats():
 def test_stats_match_recomputation():
     net, norm, sample_set = make_set_and_net(seed=3)
     report = error_stats(net, norm, sample_set)
+    t0, tf = sample_set.grid.t0, sample_set.grid.tf
+    preds = forward(net, norm, sample_set.params)
     errors = np.array(
+        [l1_relative_error(preds[i], sample_set.targets[i], t0, tf) for i in range(sample_set.k)]
+    )
+    # the row-wise sum is the per-sample metric to the bit
+    assert report.errors.tobytes() == errors.tobytes()
+    # one-row forward passes differ from the batched one in the last bits only
+    one_row = np.array(
         [
-            l1_relative_error(
-                forward(net, norm, sample_set.params[i]),
-                sample_set.targets[i],
-                sample_set.grid.t0,
-                sample_set.grid.tf,
-            )
+            l1_relative_error(forward(net, norm, sample_set.params[i]), sample_set.targets[i], t0, tf)
             for i in range(sample_set.k)
         ]
     )
-    assert np.max(np.abs(np.asarray(report.errors) - errors)) < 1e-12
+    assert np.max(np.abs(report.errors - one_row)) < 1e-12
     assert math.isclose(report.mean, float(errors.mean()), rel_tol=1e-12)
     # population convention: divide by k, not k-1
     assert math.isclose(report.stdev, float(errors.std(ddof=0)), rel_tol=1e-12)
@@ -123,10 +126,19 @@ def test_stats_match_recomputation():
 def test_stats_zero_denominator_names_sample():
     net, norm, sample_set = make_set_and_net(seed=4)
     sample_set.targets[2, 3] = 0.0
+    # first in column-major order, second in row-major order
+    sample_set.targets[4, 0] = 0.0
     with pytest.raises(ZeroDenominatorError) as err:
         error_stats(net, norm, sample_set)
     assert err.value.sample == 2
     assert err.value.index == 3
+
+
+def test_stats_reject_prediction_width_mismatch():
+    net, norm, sample_set = make_set_and_net(seed=6, m=5)
+    narrow = SampleSet("test", sample_set.params, sample_set.targets[:, :4], TimeGrid(0.0, 0.5, 4))
+    with pytest.raises(ValueError, match="width"):
+        error_stats(net, norm, narrow)
 
 
 def test_report_mean_of_two_known_errors():

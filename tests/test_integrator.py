@@ -1,5 +1,6 @@
 """Adaptive BDF integrator: error control, DAE handling, dense output."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -87,6 +88,8 @@ def test_inconsistent_initial_values_raise():
     )
     with pytest.raises(InconsistentInitialValuesError):
         integrate(bad, None, ToleranceSettings())
+    with pytest.raises(InconsistentInitialValuesError):
+        integrate_fixed_step(bad, None, 0.1, ToleranceSettings())
 
 
 def test_tighter_tolerance_reduces_error():
@@ -97,6 +100,36 @@ def test_tighter_tolerance_reduces_error():
         path = integrate(spec, None, ToleranceSettings(rtol=rtol, atol=rtol * 1e-2))
         errs.append(abs(path.states[-1, 0] - exact))
     assert errs[2] < errs[1] < errs[0]
+
+
+# Recorded before the fixed-step and adaptive drivers shared their start-up and
+# step formulas: that change must not move a bit of the adaptive path.
+# (system, accepted steps, sha256 of times + states + derivs at default tolerances)
+_RECORDED_PATHS = [
+    ("circuit", 952, "d61047d11a17c2e149fdddf66ed308cf05603ae563681d53d3899717a098e3af"),
+    ("circuit", 960, "353c3780cda724417b72d61671434399f5fdb1834d0adecece7d1542b3edadea"),
+    ("circuit", 954, "d76f573a3cf7afe5e5210cee38f8b9b807b7880ea9f8217477de6ec94384e0b7"),
+    ("circuit", 965, "8a15e7192ea9607330c5743350dda302e82bae26fd38c366d0b72faef5e79aae"),
+    ("circuit", 952, "4d9c5a3d00bee3c21f6261928551e40a39fe00b4f3c9632a6712e589ca760dcf"),
+    ("decay", 19, "44d00ccb48f5569b108d664b5d6aea475358c565338f086104676ef9a39fac76"),
+    ("coupled_dae", 19, "c056fa610ebe7816c0912ae9a23fc273d11f0b8f0ce5fa224486519fb2abb7e2"),
+]
+
+
+def test_adaptive_path_matches_recorded_digests():
+    domain = default_domain()
+    rng = np.random.default_rng(47)
+    # the domain midpoint, then four seeded points
+    points = [domain.midpoint()] + [domain.lower + rng.random(4) * (domain.upper - domain.lower)
+                                    for _ in range(4)]
+    systems = {"circuit": circuit_system(), "decay": decay_system(), "coupled_dae": coupled_dae()}
+    got = []
+    for name, _, _ in _RECORDED_PATHS:
+        p = points.pop(0) if name == "circuit" else None
+        path = integrate(systems[name], p, ToleranceSettings())
+        digest = hashlib.sha256(path.times.tobytes() + path.states.tobytes() + path.derivs.tobytes())
+        got.append((name, len(path.times) - 1, digest.hexdigest()))
+    assert got == _RECORDED_PATHS
 
 
 def test_fixed_step_second_order():
