@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Full surrogate experiment on the rectifier circuit.
 
-Generates the train/validation/test datasets once, trains one network per
-(transfer, method) combination, and writes two summary tables: training
-outcomes (epochs, stop reason, final MSEs) and error statistics (mean and
-standard deviation of the per-sample relative errors).
+Generates the train/validation/test datasets once with the generate command,
+runs the train and evaluate commands for each (transfer, method) combination
+into <out>/<transfer>-<method>/, and writes two summary tables: training
+outcomes (epochs, stop reason, final MSEs, read from each model's metadata)
+and error statistics (mean and standard deviation of the per-sample relative
+errors).
 
 The default setup is the reference experiment: 500 samples per set, m = 200
 grid points, hidden layers 400/400, hard-limit and purely linear transfers,
@@ -12,37 +14,16 @@ all three training methods.  --quick shrinks everything for a smoke run.
 """
 
 import argparse
+import dataclasses
 import json
 import time
 from pathlib import Path
 
 import numpy as np
 
-from trajsurrogate import (
-    Normalizer,
-    RngSeed,
-    TrainConfig,
-    TransferKind,
-    error_stats,
-    format_error_table,
-    forward,
-    init_weights,
-    load_dataset,
-    save_model,
-    train,
-    write_training_log,
-)
-from trajsurrogate.cli import RunConfig, cmd_generate
-from trajsurrogate.dataset import ROLES
+from trajsurrogate import format_error_table, forward, load_dataset, load_model
+from trajsurrogate.cli import RunConfig, cmd_evaluate, cmd_generate, cmd_train
 from trajsurrogate.evaluation import total_variation
-
-
-def build_datasets(args, hidden, out: Path):
-    """The generate command's datasets: k circuit solves per set at default tolerances."""
-    cfg = RunConfig(out=str(out), m=args.m, n_train=args.k, n_validation=args.k, n_test=args.k,
-                    seed_data=args.seed_data, seed_weights=args.seed_weights, hidden=hidden)
-    cmd_generate(cfg)
-    return {role: load_dataset(out / f"{role}.ds") for role in ROLES}
 
 
 def main() -> None:
@@ -65,49 +46,32 @@ def main() -> None:
     out = Path(args.out)
     hidden = [int(h) for h in args.hidden.split(",")]
 
-    sets = build_datasets(args, hidden, out)
-    norm = Normalizer.from_training(sets["train"].params, sets["train"].targets)
+    base = RunConfig(out=str(out), m=args.m, n_train=args.k, n_validation=args.k, n_test=args.k,
+                     seed_data=args.seed_data, seed_weights=args.seed_weights, hidden=hidden)
+    cmd_generate(base)
+    test_params = load_dataset(out / "test.ds").params
 
     outcome_rows = []
     error_reports = {}
     tv_means = {}
     for transfer in args.transfers.split(","):
-        kind = TransferKind(transfer)
         for method in args.methods.split(","):
             label = f"{method}/{transfer}"
-            sizes = [sets["train"].q] + hidden + [args.m]
-            net = init_weights(sizes, kind, RngSeed(args.seed_weights, "weights"))
-            cfg = TrainConfig(method=method, max_epochs=args.max_epochs)
-            t0 = time.perf_counter()
-            model, record = train(net, norm, sets["train"], sets["validation"], sets["test"], cfg)
-            elapsed = time.perf_counter() - t0
-
             run_dir = out / f"{transfer}-{method}"
-            run_dir.mkdir(exist_ok=True)
-            finals = {}
-            reports = {}
-            for role, s in sets.items():
-                report = error_stats(model, norm, s)
-                reports[role] = report
-                finals[role] = report.mse
-            save_model(model, norm, run_dir / "model.tjn", {
-                "method": method, "transfer": transfer,
-                "stop_reason": record.stop_reason.value,
-                "best_epoch": record.best_epoch,
-                "elapsed_epochs": record.elapsed_epochs,
-                "final_mse": finals,
-            })
-            write_training_log(record, run_dir / "training_log.csv")
-            error_reports[label] = reports
-            preds = forward(model, norm, sets["test"].params)
+            cfg = dataclasses.replace(base, out=str(run_dir), transfer=transfer,
+                                      training={"method": method, "max_epochs": args.max_epochs})
+            t0 = time.perf_counter()
+            cmd_train(cfg, data_dir=str(out))
+            elapsed = time.perf_counter() - t0
+            error_reports[label] = cmd_evaluate(cfg, data_dir=str(out))
+            model, norm, meta = load_model(run_dir / "model.tjn")
+            preds = forward(model, norm, test_params)
             tv_means[label] = float(np.mean([total_variation(p) for p in preds]))
+            finals = meta["final_mse"]
             outcome_rows.append((
-                method, transfer, record.elapsed_epochs, record.stop_reason.value,
+                method, transfer, meta["elapsed_epochs"], meta["stop_reason"],
                 finals["train"], finals["test"], elapsed,
             ))
-            print(f"{label}: {record.elapsed_epochs} epochs, stop {record.stop_reason.value}, "
-                  f"train MSE {finals['train']:.1f}, test MSE {finals['test']:.1f} "
-                  f"({elapsed:.0f} s)")
 
     lines = [
         f"{'method':<8}{'transfer':<10}{'epochs':>8}{'stop':>16}{'mse_train':>12}{'mse_test':>12}{'seconds':>9}"

@@ -30,7 +30,7 @@ from .dataset import (
     save_dataset,
 )
 from .dynsys import ParameterDomain, SystemSpec, circuit_system, default_domain
-from .evaluation import error_stats, format_error_table, write_report_csv
+from .evaluation import ErrorReport, error_stats, format_error_table, write_report_csv
 from .integrator import TimeGrid, ToleranceSettings, solve_trajectory
 from .neuralnet import (
     NetworkParams,
@@ -274,7 +274,9 @@ def cmd_train(cfg: RunConfig, data_dir: Optional[str] = None) -> None:
     )
 
 
-def cmd_evaluate(cfg: RunConfig, model_path: Optional[str] = None, data_dir: Optional[str] = None) -> None:
+def cmd_evaluate(
+    cfg: RunConfig, model_path: Optional[str] = None, data_dir: Optional[str] = None
+) -> Dict[str, ErrorReport]:
     out = _out_dir(cfg)
     net, norm, metadata = load_model(Path(model_path) if model_path else out / "model.tjn")
     sets = _load_sets(Path(data_dir) if data_dir else out)
@@ -292,6 +294,7 @@ def cmd_evaluate(cfg: RunConfig, model_path: Optional[str] = None, data_dir: Opt
     print(table, end="")
     mse_line = ", ".join(f"{role} {reports[role].mse:.4g}" for role in ROLES)
     print(f"MSE: {mse_line}")
+    return reports
 
 
 def cmd_predict(cfg: RunConfig, params: str, compare: bool = False) -> None:
@@ -350,37 +353,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="JSON run configuration file")
-        sp.add_argument("--out", help="output directory (overrides config)")
-        sp.add_argument("--seed-data", type=int, help="sampling seed (overrides config)")
-        sp.add_argument("--seed-weights", type=int, help="weight-init seed (overrides config)")
-        sp.add_argument("--method", choices=[m.value for m in TrainMethod],
-                        help="training method (overrides config)")
-        sp.add_argument("--transfer", choices=[k.value for k in TransferKind],
-                        help="hidden transfer function (overrides config)")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON run configuration file")
+    common.add_argument("--out", help="output directory (overrides config)")
+    # seeds, method and transfer are read by generate (into run_config.json) and train only
+    fit = argparse.ArgumentParser(add_help=False, parents=[common])
+    fit.add_argument("--seed-data", type=int, help="sampling seed (overrides config)")
+    fit.add_argument("--seed-weights", type=int, help="weight-init seed (overrides config)")
+    fit.add_argument("--method", choices=[m.value for m in TrainMethod],
+                     help="training method (overrides config)")
+    fit.add_argument("--transfer", choices=[k.value for k in TransferKind],
+                     help="hidden transfer function (overrides config)")
 
-    sp = sub.add_parser("generate", help="sample parameters and solve target trajectories")
-    common(sp)
+    sp = sub.add_parser("generate", parents=[fit], help="sample parameters and solve target trajectories")
     sp.add_argument("--csv", action="store_true", help="also export datasets as CSV")
 
-    sp = sub.add_parser("train", help="train a surrogate on generated datasets")
-    common(sp)
+    sp = sub.add_parser("train", parents=[fit], help="train a surrogate on generated datasets")
     sp.add_argument("--data", help="directory with train/validation/test .ds files")
 
-    sp = sub.add_parser("evaluate", help="error statistics of a trained model")
-    common(sp)
+    sp = sub.add_parser("evaluate", parents=[common], help="error statistics of a trained model")
     sp.add_argument("--model", help="model file (default <out>/model.tjn)")
     sp.add_argument("--data", help="directory with dataset files")
 
-    sp = sub.add_parser("predict", help="evaluate the surrogate at one parameter vector")
-    common(sp)
+    sp = sub.add_parser("predict", parents=[common], help="evaluate the surrogate at one parameter vector")
     sp.add_argument("--params", required=True, help="comma-separated parameter values")
     sp.add_argument("--compare", action="store_true",
                     help="also integrate the system and report both timings")
 
-    sp = sub.add_parser("plot-data", help="emit per-sample overlay CSVs for plotting")
-    common(sp)
+    sp = sub.add_parser("plot-data", parents=[common], help="emit per-sample overlay CSVs for plotting")
     sp.add_argument("--indices", required=True, help="comma-separated sample indices")
     sp.add_argument("--role", default="test", help="which sample set (default test)")
 
@@ -391,13 +391,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     if args.out is not None:
         cfg.out = args.out
-    if args.seed_data is not None:
+    if getattr(args, "seed_data", None) is not None:
         cfg.seed_data = args.seed_data
-    if args.seed_weights is not None:
+    if getattr(args, "seed_weights", None) is not None:
         cfg.seed_weights = args.seed_weights
-    if args.method is not None:
+    if getattr(args, "method", None) is not None:
         cfg.training["method"] = args.method
-    if args.transfer is not None:
+    if getattr(args, "transfer", None) is not None:
         cfg.transfer = args.transfer
     return cfg
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,16 +66,18 @@ def default_domain() -> ParameterDomain:
 
 @dataclass(frozen=True)
 class CircuitConstants:
-    """Diode law coefficients and drive-voltage shape of the circuit model."""
+    """Diode law coefficients and drive-voltage shape of the circuit model.
+
+    The values are fixed: the circuit functions read the one instance below.
+    """
 
     gamma: float = 4.067e-8
     delta: float = 5.634e-2
     amplitude: float = 500.0  # volts (node-voltage units)
     period: float = 0.1  # seconds
 
-    def __post_init__(self) -> None:
-        if self.gamma <= 0 or self.delta <= 0 or self.period <= 0:
-            raise ValueError("gamma, delta and period must be positive")
+
+_CIRCUIT = CircuitConstants()
 
 
 @dataclass(frozen=True)
@@ -103,45 +104,45 @@ class SystemSpec:
         return finite_difference_jacobian(self.rhs, t, x, p)
 
 
-def diode_current(u: float, constants: CircuitConstants = CircuitConstants()) -> float:
+def diode_current(u: float) -> float:
     """Diode current gamma*(exp(delta*u) - 1); strictly increasing in u."""
-    arg = constants.delta * u
+    arg = _CIRCUIT.delta * u
     if arg > _EXP_ARG_MAX:
         raise DiodeOverflowError(f"diode exponent {arg:.3g} overflows float64")
-    return constants.gamma * (math.exp(arg) - 1.0)
+    return _CIRCUIT.gamma * (math.exp(arg) - 1.0)
 
 
-def diode_conductance(u: float, constants: CircuitConstants = CircuitConstants()) -> float:
+def diode_conductance(u: float) -> float:
     """Derivative of the diode law: gamma*delta*exp(delta*u)."""
-    arg = constants.delta * u
+    arg = _CIRCUIT.delta * u
     if arg > _EXP_ARG_MAX:
         raise DiodeOverflowError(f"diode exponent {arg:.3g} overflows float64")
-    return constants.gamma * constants.delta * math.exp(arg)
+    return _CIRCUIT.gamma * _CIRCUIT.delta * math.exp(arg)
 
 
-def input_voltage(t: float, constants: CircuitConstants = CircuitConstants()) -> float:
+def input_voltage(t: float) -> float:
     """Harmonic drive A*sin(2*pi*t/T)."""
-    return constants.amplitude * math.sin(2.0 * math.pi * t / constants.period)
+    return _CIRCUIT.amplitude * math.sin(2.0 * math.pi * t / _CIRCUIT.period)
 
 
 def _circuit_mass(p: np.ndarray) -> np.ndarray:
     return np.diag([p[0], p[1], 0.0])
 
 
-def _circuit_rhs(t: float, x: np.ndarray, p: np.ndarray, constants: CircuitConstants) -> np.ndarray:
+def _circuit_rhs(t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     x1, x2, x3 = x[0], x[1], x[2]
     r1, r2 = p[2], p[3]
-    i_top = diode_current(-(x1 + x3), constants)
-    i_out = diode_current(x3, constants)
-    drive = (x2 + x3 + input_voltage(t, constants)) / r1
+    i_top = diode_current(-(x1 + x3))
+    i_out = diode_current(x3)
+    drive = (x2 + x3 + input_voltage(t)) / r1
     return np.array([-x1 / r2 + i_top, -drive, -drive + i_top - i_out])
 
 
-def _circuit_jac(t: float, x: np.ndarray, p: np.ndarray, constants: CircuitConstants) -> np.ndarray:
+def _circuit_jac(t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     x1, x3 = x[0], x[2]
     r1, r2 = p[2], p[3]
-    g_top = diode_conductance(-(x1 + x3), constants)
-    g_out = diode_conductance(x3, constants)
+    g_top = diode_conductance(-(x1 + x3))
+    g_out = diode_conductance(x3)
     return np.array(
         [
             [-1.0 / r2 - g_top, 0.0, -g_top],
@@ -159,7 +160,7 @@ def _second_component(x: np.ndarray) -> float:
     return float(x[1])
 
 
-def circuit_system(constants: CircuitConstants = CircuitConstants()) -> SystemSpec:
+def circuit_system() -> SystemSpec:
     """Voltage-doubler circuit: three node voltages, mass diag(C1, C2, 0).
 
     Row 3 is the algebraic current balance; the QoI is the second node
@@ -169,20 +170,13 @@ def circuit_system(constants: CircuitConstants = CircuitConstants()) -> SystemSp
     return SystemSpec(
         dim=3,
         mass=_circuit_mass,
-        rhs=partial(_circuit_rhs, constants=constants),
-        jac=partial(_circuit_jac, constants=constants),
+        rhs=_circuit_rhs,
+        jac=_circuit_jac,
         qoi=_second_component,
         initial=_circuit_initial,
         t0=0.0,
         tf=0.5,
     )
-
-
-def evaluate_qoi(spec: SystemSpec, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.dim,):
-        raise DimensionMismatchError(f"state must have length {spec.dim}, got shape {x.shape}")
-    return float(spec.qoi(x))
 
 
 def finite_difference_jacobian(

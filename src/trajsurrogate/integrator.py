@@ -136,11 +136,11 @@ def _initial_slope(
     rhs[alg] = -dfdt[alg]
     try:
         return np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError:
-        # semi-explicit structure violated; fall back to a minimal-norm slope
-        slope, *_ = np.linalg.lstsq(mass, f0, rcond=None)
-        slope[alg] = 0.0
-        return slope
+    except np.linalg.LinAlgError as exc:
+        raise IntegrationError(
+            "system is not semi-explicit index 1: the algebraic rows of df/dx "
+            "do not determine a consistent x'(t0)"
+        ) from exc
 
 
 def _start(spec: SystemSpec, p: np.ndarray, tol: ToleranceSettings):

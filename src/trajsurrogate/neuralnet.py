@@ -359,25 +359,3 @@ def load_model(path: Union[str, Path]) -> Tuple[NetworkParams, Normalizer, Dict]
     reader.expect_end(str(path))
     return NetworkParams(weights, biases, kind), norm, metadata
 
-
-def export_model_json(
-    net: NetworkParams,
-    norm: Normalizer,
-    path: Union[str, Path],
-    metadata: Optional[Dict] = None,
-) -> None:
-    """Inspection-friendly JSON dump of the full model."""
-    doc = {
-        "sizes": net.sizes,
-        "hidden_transfer": net.hidden_transfer.value,
-        "normalizer": {
-            "in_min": norm.in_min.tolist(),
-            "in_max": norm.in_max.tolist(),
-            "out_min": norm.out_min.tolist(),
-            "out_max": norm.out_max.tolist(),
-        },
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-        "metadata": metadata or {},
-    }
-    Path(path).write_text(json.dumps(doc, indent=2))

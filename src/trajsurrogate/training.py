@@ -119,14 +119,6 @@ def _view(template: NetworkParams, vec: np.ndarray) -> NetworkParams:
     return NetworkParams(weights, biases, template.hidden_transfer)
 
 
-def unpack_into(net: NetworkParams, vec: np.ndarray) -> None:
-    """Write a flat vector back into the network arrays, in pack order."""
-    src = _view(net, vec)
-    # whole-array writes, not `w.flat`, which is about 10x slower per matrix
-    for dst, part in zip(net.weights + net.biases, src.weights + src.biases):
-        dst[...] = part
-
-
 @dataclasses.dataclass
 class OptState:
     """Mutable state threaded through step_cg / step_oss / step_gdx."""

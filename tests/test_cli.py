@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +219,23 @@ def test_console_entry_point_smoke(tmp_path):
         assert command in helptext.stdout
 
 
+def test_experiment_script_smoke(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"
+    out = tmp_path / "exp"
+    done = subprocess.run(
+        [sys.executable, str(script), "--out", str(out), "--k", "5", "--m", "20", "--hidden", "8",
+         "--max-epochs", "20", "--methods", "cg", "--transfers", "purelin"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    for name in ("summary_training.txt", "summary_errors.txt"):
+        assert (out / name).exists()
+    for name in ("model.tjn", "training_log.csv", "report.txt"):
+        assert (out / "purelin-cg" / name).exists()
+
+
 def test_method_override_beats_config(tmp_path):
     out = tmp_path / "ovr"
     config = write_config(tmp_path, out, training={"method": "cg", "max_epochs": 5})
@@ -225,3 +243,15 @@ def test_method_override_beats_config(tmp_path):
     assert main(["train", "--config", str(config), "--method", "gdx"]) == 0
     _, _, meta = load_model(out / "model.tjn")
     assert meta["method"] == "gdx"
+
+
+def test_fit_flags_only_on_generate_and_train(tmp_path, capsys):
+    config = str(write_config(tmp_path, tmp_path / "run"))
+    commands = (["evaluate"], ["predict", "--params", "1,2,3,4"], ["plot-data", "--indices", "0"])
+    flags = (["--seed-data", "1"], ["--seed-weights", "1"], ["--method", "cg"], ["--transfer", "purelin"])
+    for command in commands:
+        for flag in flags:
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--config", config, *flag])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err

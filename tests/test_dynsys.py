@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from trajsurrogate.dynsys import (
     CircuitConstants,
-    DimensionMismatchError,
     DiodeOverflowError,
     ParameterDomain,
     algebraic_rows,
@@ -17,7 +16,6 @@ from trajsurrogate.dynsys import (
     default_domain,
     diode_conductance,
     diode_current,
-    evaluate_qoi,
     finite_difference_jacobian,
     input_voltage,
 )
@@ -138,10 +136,3 @@ def test_state_jacobian_falls_back_to_fd():
     )
     jac = bare.state_jacobian(0.3, np.array([0.7]), None)
     assert jac[0, 0] == pytest.approx(-2.0, rel=1e-6)
-
-
-def test_evaluate_qoi_selects_second_component():
-    spec = circuit_system()
-    assert evaluate_qoi(spec, np.array([1.0, 42.0, 3.0])) == 42.0
-    with pytest.raises(DimensionMismatchError):
-        evaluate_qoi(spec, np.array([1.0, 2.0]))

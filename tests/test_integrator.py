@@ -13,6 +13,7 @@ from trajsurrogate.dynsys import SystemSpec, circuit_system, default_domain
 from trajsurrogate.integrator import (
     GridOutsidePathError,
     InconsistentInitialValuesError,
+    IntegrationError,
     TimeGrid,
     ToleranceSettings,
     integrate,
@@ -90,6 +91,20 @@ def test_inconsistent_initial_values_raise():
         integrate(bad, None, ToleranceSettings())
     with pytest.raises(InconsistentInitialValuesError):
         integrate_fixed_step(bad, None, 0.1, ToleranceSettings())
+
+
+def test_index_two_system_is_rejected_at_start():
+    # x1' = x2, 0 = x1 - sin t: the constraint fixes x1 but not the slope of x2
+    spec = SystemSpec(
+        dim=2, mass=lambda p: np.diag([1.0, 0.0]),
+        rhs=lambda t, x, p: np.array([x[1], x[0] - math.sin(t)]),
+        qoi=lambda x: float(x[0]), initial=lambda p: np.zeros(2), t0=0.0, tf=1.0,
+        jac=lambda t, x, p: np.array([[0.0, 1.0], [1.0, 0.0]]),
+    )
+    with pytest.raises(IntegrationError, match="not semi-explicit index 1"):
+        integrate(spec, None, ToleranceSettings())
+    with pytest.raises(IntegrationError, match="not semi-explicit index 1"):
+        integrate_fixed_step(spec, None, 0.1, ToleranceSettings())
 
 
 def test_tighter_tolerance_reduces_error():

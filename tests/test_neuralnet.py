@@ -1,6 +1,5 @@
 """Transfer functions, forward pass, loss, gradients, and model persistence."""
 
-import json
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from trajsurrogate.neuralnet import (
     NetworkParams,
     Normalizer,
     TransferKind,
-    export_model_json,
     forward,
     gradient,
     hidden_features,
@@ -293,15 +291,3 @@ def test_save_rejects_non_finite_weights(tmp_path):
     net.weights[0][0, 0] = np.nan
     with pytest.raises(ValueError):
         save_model(net, Normalizer.identity(2, 2), tmp_path / "x.tjn")
-
-
-def test_json_export_round_trips_values(tmp_path):
-    net = small_net(TransferKind.PURELIN, seed=6, sizes=(2, 3, 2))
-    norm = Normalizer.identity(2, 2)
-    path = tmp_path / "model.json"
-    export_model_json(net, norm, path, metadata={"method": "cg"})
-    doc = json.loads(path.read_text())
-    assert doc["sizes"] == [2, 3, 2]
-    assert doc["hidden_transfer"] == "purelin"
-    assert doc["metadata"] == {"method": "cg"}
-    assert np.array_equal(np.array(doc["weights"][0]), net.weights[0])

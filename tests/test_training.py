@@ -25,6 +25,7 @@ from trajsurrogate.training import (
     TrainConfig,
     TrainMethod,
     _line_search,
+    _view,
     early_stop_check,
     make_state,
     pack,
@@ -32,7 +33,6 @@ from trajsurrogate.training import (
     step_gdx,
     step_oss,
     train,
-    unpack_into,
     write_training_log,
 )
 
@@ -74,12 +74,12 @@ def test_pack_unpack_round_trip():
     net = init_weights([3, 4, 2], TransferKind.TANSIG, RngSeed(1, "weights"))
     vec = pack(net)
     assert vec.shape == (3 * 4 + 4 + 4 * 2 + 2,)
-    other = init_weights([3, 4, 2], TransferKind.TANSIG, RngSeed(2, "weights"))
-    unpack_into(other, vec)
+    template = init_weights([3, 4, 2], TransferKind.TANSIG, RngSeed(2, "weights"))
+    other = _view(template, vec)
     for a, b in zip(other.weights + other.biases, net.weights + net.biases):
         assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        unpack_into(other, np.zeros(5))
+        _view(template, np.zeros(5))
 
 
 def test_cg_solves_quadratic_in_two_iterations():
