@@ -130,8 +130,10 @@ def _circuit_mass(p: np.ndarray) -> np.ndarray:
 
 
 def _circuit_rhs(t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    x1, x2, x3 = x[0], x[1], x[2]
-    r1, r2 = p[2], p[3]
+    # Python floats: the same IEEE results as NumPy scalars without their per-call cost,
+    # except that a zero resistance raises ZeroDivisionError instead of giving inf
+    x1, x2, x3 = x.tolist()
+    r1, r2 = p.tolist()[2:4]
     i_top = diode_current(-(x1 + x3))
     i_out = diode_current(x3)
     drive = (x2 + x3 + input_voltage(t)) / r1
@@ -139,8 +141,8 @@ def _circuit_rhs(t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _circuit_jac(t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    x1, x3 = x[0], x[2]
-    r1, r2 = p[2], p[3]
+    x1, _, x3 = x.tolist()
+    r1, r2 = p.tolist()[2:4]
     g_top = diode_conductance(-(x1 + x3))
     g_out = diode_conductance(x3)
     return np.array(

@@ -14,10 +14,12 @@ the same start-up and steps at t0 + k*h without error control.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .dynsys import DiodeOverflowError, SystemSpec, algebraic_rows
 
@@ -28,6 +30,10 @@ _ERR_CONST = {1: 0.5, 2: 2.0 / 9.0}
 _NEWTON_MAX_ITER = 7
 _NEWTON_KAPPA = 0.33  # accept when weighted update norm drops below this
 _MAX_STEP_HALVINGS = 3
+
+# LAPACK solve of one square system, without np.linalg.solve's per-call checks;
+# a singular matrix gives NaN (and sets the invalid flag) instead of LinAlgError
+_solve1 = _umath_linalg.solve1
 
 
 class IntegrationError(RuntimeError):
@@ -117,7 +123,7 @@ class SolutionPath:
 
 
 def _weights(x: np.ndarray, tol: ToleranceSettings) -> np.ndarray:
-    return tol.atol + tol.rtol * np.abs(x)
+    return tol.atol + tol.rtol * abs(x)
 
 
 def _initial_slope(
@@ -203,9 +209,11 @@ class _Newton:
 
     def __init__(self, spec: SystemSpec, p: np.ndarray, mass: np.ndarray, tol: ToleranceSettings):
         self.spec = spec
+        self.rhs = spec.rhs
         self.p = p
         self.mass = mass
-        self.tol = tol
+        self.atol = tol.atol
+        self.rtol = tol.rtol
         self.jac: Optional[np.ndarray] = None  # set by refresh before the first solve
         self.slow = False  # convergence degraded on the last attempt
 
@@ -213,43 +221,37 @@ class _Newton:
         self.jac = self.spec.state_jacobian(t, x, self.p)
         self.slow = False
 
-    def _residual(self, t: float, x: np.ndarray, a0_h: float, hist: np.ndarray) -> np.ndarray:
-        # hist holds (a1*x_n + a2*x_{n-1})/h so xdot = a0_h*x + hist
-        return self.mass @ (a0_h * x + hist) - self.spec.rhs(t, x, self.p)
-
     def solve(self, t_new: float, x_pred: np.ndarray, a0_h: float, hist: np.ndarray):
         """Return (x, converged, iterations)."""
         iter_matrix = a0_h * self.mass - self.jac
 
-        x = x_pred.copy()
+        x = x_pred
         resid = self._try_residual(t_new, x, a0_h, hist)
         if resid is None:
             return x, False, 0
 
         prev_norm = np.inf
         for it in range(1, _NEWTON_MAX_ITER + 1):
-            try:
-                dx = np.linalg.solve(iter_matrix, -resid)
-            except np.linalg.LinAlgError:
-                return x, False, it
-            if not np.all(np.isfinite(dx)):
-                return x, False, it
+            with np.errstate(invalid="ignore"):  # whatever the caller's setting
+                dx = _solve1(iter_matrix, -resid)
+            if not all(map(math.isfinite, dx.tolist())):
+                return x, False, it  # singular iteration matrix or overflow
 
             # damp the update until the residual is evaluable and finite
             lam = 1.0
-            trial_resid = None
             for _ in range(8):
-                x_trial = x + lam * dx
+                step = lam * dx
+                x_trial = x + step
                 trial_resid = self._try_residual(t_new, x_trial, a0_h, hist)
                 if trial_resid is not None:
                     break
                 lam *= 0.5
-            if trial_resid is None:
+            else:
                 return x, False, it
-            x = x + lam * dx
+            x = x_trial
             resid = trial_resid
 
-            dnorm = float(np.max(np.abs(lam * dx) / _weights(x, self.tol)))
+            dnorm = (abs(step) / (self.atol + self.rtol * abs(x))).max()
             if dnorm < _NEWTON_KAPPA:
                 self.slow = it >= 4
                 return x, True, it
@@ -259,13 +261,12 @@ class _Newton:
         return x, False, _NEWTON_MAX_ITER
 
     def _try_residual(self, t, x, a0_h, hist) -> Optional[np.ndarray]:
+        # hist holds (a1*x_n + a2*x_{n-1})/h so xdot = a0_h*x + hist
         try:
-            r = self._residual(t, x, a0_h, hist)
+            r = self.mass @ (a0_h * x + hist) - self.rhs(t, x, self.p)
         except (DiodeOverflowError, FloatingPointError, OverflowError):
             return None
-        if not np.all(np.isfinite(r)):
-            return None
-        return r
+        return r if all(map(math.isfinite, r.tolist())) else None
 
 
 def integrate(
@@ -324,8 +325,8 @@ def integrate(
             newton.refresh(t_new, x_new)
 
         est = _ERR_CONST[order] * (x_new - x_pred)
-        scale = _weights(np.maximum(np.abs(x_n), np.abs(x_new)), tol)
-        err_norm = float(np.max(np.abs(est) / scale))
+        scale = _weights(np.maximum(abs(x_n), abs(x_new)), tol)
+        err_norm = float((abs(est) / scale).max())
 
         factor = min(5.0, max(0.2, 0.9 * max(err_norm, 1e-10) ** (-1.0 / (order + 1))))
         if err_norm <= 1.0:

@@ -126,6 +126,73 @@ def test_circuit_jacobian_matches_fd():
         assert np.max(rel) < 1e-5
 
 
+def _circuit_rhs_numpy_scalars(t, x, p):
+    """The circuit rhs on NumPy scalars, the form the float version replaced; kept as its oracle."""
+    x1, x2, x3 = x[0], x[1], x[2]
+    r1, r2 = p[2], p[3]
+    i_top = diode_current(-(x1 + x3))
+    i_out = diode_current(x3)
+    drive = (x2 + x3 + input_voltage(t)) / r1
+    return np.array([-x1 / r2 + i_top, -drive, -drive + i_top - i_out])
+
+
+def _circuit_jac_numpy_scalars(t, x, p):
+    x1, x3 = x[0], x[2]
+    r1, r2 = p[2], p[3]
+    g_top = diode_conductance(-(x1 + x3))
+    g_out = diode_conductance(x3)
+    return np.array(
+        [
+            [-1.0 / r2 - g_top, 0.0, -g_top],
+            [0.0, -1.0 / r1, -1.0 / r1],
+            [-g_top, -1.0 / r1, -1.0 / r1 - g_top - g_out],
+        ]
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).tobytes()
+    except DiodeOverflowError:
+        return DiodeOverflowError
+
+
+_DOMAIN = default_domain()
+_STATE = st.floats(min_value=-2e4, max_value=2e4)  # beyond about 1.26e4 a diode term overflows
+
+
+@given(
+    st.floats(min_value=0.0, max_value=0.5),
+    st.tuples(_STATE, _STATE, _STATE),
+    st.tuples(*(st.floats(min_value=lo, max_value=hi) for lo, hi in zip(_DOMAIN.lower, _DOMAIN.upper))),
+)
+@settings(max_examples=300)
+def test_circuit_callables_match_numpy_scalar_form_bitwise(t, x, p):
+    spec = circuit_system()
+    x, p = np.array(x), np.array(p)
+    assert _outcome(spec.rhs, t, x, p) == _outcome(_circuit_rhs_numpy_scalars, t, x, p)
+    assert _outcome(spec.jac, t, x, p) == _outcome(_circuit_jac_numpy_scalars, t, x, p)
+
+
+def test_circuit_callables_overflow_at_the_same_state():
+    spec = circuit_system()
+    p = _DOMAIN.midpoint()
+    edge = math.log(np.finfo(np.float64).max) / CONST.delta
+    us = [edge]
+    for _ in range(4):
+        us = [math.nextafter(us[0], -math.inf)] + us + [math.nextafter(us[-1], math.inf)]
+    raised = []
+    for u in us:
+        # u reaches the outer diode through x3 and the upper one through -(x1 + x3)
+        for x in (np.array([0.0, 0.0, u]), np.array([-u, 0.0, 0.0])):
+            got = _outcome(spec.rhs, 0.1, x, p)
+            assert got == _outcome(_circuit_rhs_numpy_scalars, 0.1, x, p)
+            assert _outcome(spec.jac, 0.1, x, p) == _outcome(_circuit_jac_numpy_scalars, 0.1, x, p)
+            raised.append(got is DiodeOverflowError)
+    # the sweep crosses the guard: both outcomes occur
+    assert any(raised) and not all(raised)
+
+
 def test_state_jacobian_falls_back_to_fd():
     from tests.conftest import decay_system
 

@@ -1,7 +1,9 @@
 """Adaptive BDF integrator: error control, DAE handling, dense output."""
 
 import hashlib
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +16,11 @@ from trajsurrogate.integrator import (
     GridOutsidePathError,
     InconsistentInitialValuesError,
     IntegrationError,
+    NewtonDivergenceError,
     TimeGrid,
     ToleranceSettings,
+    _Newton,
+    _solve1,
     integrate,
     integrate_fixed_step,
     resample,
@@ -145,6 +150,85 @@ def test_adaptive_path_matches_recorded_digests():
         digest = hashlib.sha256(path.times.tobytes() + path.states.tobytes() + path.derivs.tobytes())
         got.append((name, len(path.times) - 1, digest.hexdigest()))
     assert got == _RECORDED_PATHS
+
+
+# Recorded before the Newton iteration dropped its per-call NumPy overhead; both
+# drivers share that iteration.
+# (system, step, sha256 of times + states + derivs at the fixed-step tolerances)
+_RECORDED_FIXED_STEP_PATHS = [
+    ("decay", 1.0 / 80, "c95e35f43e060f4429a2c40949ae7a571cfe26f6fb8234c8055e2e6d18e2777e"),
+    ("coupled_dae", 1.0 / 40, "5533acf3923ed047eca5d9519ef11fa42fd53205498182b31c826fe616a04e51"),
+    ("circuit", 1e-4, "4ae5ef9ab74536b0e7eecec9a6d82a21f87645d40a3a407479f79456489a5ee9"),
+]
+
+
+def test_fixed_step_path_matches_recorded_digests():
+    systems = {"circuit": circuit_system(), "decay": decay_system(), "coupled_dae": coupled_dae()}
+    got = []
+    for name, h, _ in _RECORDED_FIXED_STEP_PATHS:
+        p = default_domain().midpoint() if name == "circuit" else None
+        path = integrate_fixed_step(systems[name], p, h)
+        digest = hashlib.sha256(path.times.tobytes() + path.states.tobytes() + path.derivs.tobytes())
+        got.append((name, h, digest.hexdigest()))
+    assert got == _RECORDED_FIXED_STEP_PATHS
+
+
+def _square_systems():
+    """Seeded 3x3 systems: random, ill-conditioned (cond 1e12) and near-singular
+    (one row the sum of the others to 1e-13, cond about 1e14)."""
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        yield rng.standard_normal((3, 3)), rng.standard_normal(3)
+    for _ in range(100):
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        yield (u * [1.0, 1e-6, 1e-12]) @ v.T, rng.standard_normal(3)
+    for _ in range(100):
+        a = rng.standard_normal((3, 3))
+        a[2] = a[0] + a[1] + 1e-13 * rng.standard_normal(3)
+        yield a, rng.standard_normal(3)
+
+
+def test_direct_lapack_solve_matches_numpy_solve_bitwise():
+    for a, b in _square_systems():
+        assert _solve1(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+    for a in (np.zeros((3, 3)), np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 1.0, 1.0]])):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, np.ones(3))
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(_solve1(a, np.ones(3))).any()
+
+
+def _singular_after_start() -> SystemSpec:
+    """x1' = -x1, 0 = x1 - x2, whose Jacobian loses its d/dx2 entry after the
+    start-up: from then on every iteration matrix has a zero column."""
+    calls = itertools.count()
+    spec = coupled_dae()
+
+    def jac(t, x, p):
+        return np.array([[-1.0, 0.0], [1.0, -1.0 if next(calls) == 0 else 0.0]])
+
+    return SystemSpec(dim=2, mass=spec.mass, rhs=spec.rhs, qoi=spec.qoi,
+                      initial=spec.initial, t0=spec.t0, tf=spec.tf, jac=jac)
+
+
+@pytest.mark.parametrize("errstate", [{}, {"all": "raise"}])
+def test_singular_iteration_matrix_fails_quietly(errstate):
+    x_pred = np.array([0.9, 0.9])
+    with warnings.catch_warnings(), np.errstate(**errstate):
+        warnings.simplefilter("error")
+        spec = _singular_after_start()
+        mass = spec.mass(None)
+        newton = _Newton(spec, None, mass, ToleranceSettings())
+        spec.jac(0.0, x_pred, None)  # spend the start-up Jacobian
+        newton.refresh(0.1, x_pred)
+        assert np.linalg.matrix_rank(10.0 * mass - newton.jac) == 1
+        x, converged, iterations = newton.solve(0.1, x_pred, 10.0, -x_pred / 0.1)
+        assert (x.tolist(), converged, iterations) == (x_pred.tolist(), False, 1)
+        with pytest.raises(NewtonDivergenceError):
+            integrate(_singular_after_start(), None, ToleranceSettings())
+        with pytest.raises(NewtonDivergenceError):
+            integrate_fixed_step(_singular_after_start(), None, 0.1, ToleranceSettings())
 
 
 def test_fixed_step_second_order():
