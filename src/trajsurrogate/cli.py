@@ -201,15 +201,11 @@ def cmd_generate(cfg: RunConfig, csv_export: bool = False) -> None:
     tol = cfg.tolerance_settings()
     out = _out_dir(cfg)
 
-    counts = {"train": cfg.n_train, "validation": cfg.n_validation, "test": cfg.n_test}
+    counts = (cfg.n_train, cfg.n_validation, cfg.n_test)
     seed = RngSeed(cfg.seed_data, "sampling")
-    all_params = sample_parameters(domain, sum(counts.values()), seed)
+    all_params = sample_parameters(domain, sum(counts), seed)
 
-    start_row = 0
-    for role in ROLES:
-        k = counts[role]
-        params = all_params[start_row : start_row + k]
-        start_row += k
+    for role, params in zip(ROLES, np.split(all_params, np.cumsum(counts)[:-1])):
         t_start = time.perf_counter()
         targets = generate_targets(
             spec, params, grid, tol, on_failure=cfg.on_failure, workers=cfg.workers
@@ -217,7 +213,7 @@ def cmd_generate(cfg: RunConfig, csv_export: bool = False) -> None:
         elapsed = time.perf_counter() - t_start
         bad = failed_rows(targets)
         if bad.size:
-            keep = np.setdiff1d(np.arange(k), bad)
+            keep = np.setdiff1d(np.arange(len(params)), bad)
             params, targets = params[keep], targets[keep]
         sample_set = SampleSet(role, params, targets, grid, seed)
         path = _dataset_paths(out)[role]

@@ -8,12 +8,16 @@ are bit-exact; a CSV export exists for inspection.
 
 from __future__ import annotations
 
-import concurrent.futures
+import contextlib
 import dataclasses
+import functools
 import logging
+import os
+import pickle
 import struct
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -107,22 +111,18 @@ def sample_parameters(domain: ParameterDomain, k: int, seed: RngSeed) -> np.ndar
     return domain.lower + u * (domain.upper - domain.lower)
 
 
-def _solve_block(
-    spec: SystemSpec,
-    params: np.ndarray,
-    grid: TimeGrid,
-    tol: ToleranceSettings,
-    offset: int,
-) -> Tuple[int, np.ndarray, List[Tuple[int, str]]]:
-    block = np.empty((params.shape[0], grid.m))
-    failures: List[Tuple[int, str]] = []
-    for i, row in enumerate(params):
-        try:
-            block[i] = solve_trajectory(spec, row, grid, tol)
-        except IntegrationError as exc:
-            block[i] = np.nan
-            failures.append((offset + i, str(exc)))
-    return offset, block, failures
+def _solve_row(spec: SystemSpec, grid: TimeGrid, tol: ToleranceSettings, row: np.ndarray):
+    """The row's QoI trajectory, or the IntegrationError that ended its solve."""
+    try:
+        return solve_trajectory(spec, row, grid, tol)
+    except IntegrationError as exc:
+        return exc
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def generate_targets(
@@ -135,41 +135,39 @@ def generate_targets(
 ) -> np.ndarray:
     """Solve the IVP for every parameter row and sample the QoI on the grid.
 
-    on_failure="abort" raises TargetGenerationError at the first failed row;
+    Rows are taken in order, solved in this process or, when workers > 1, by
+    a pool of min(workers, k, usable CPUs) processes; both give the same bits.
+    on_failure="abort" raises TargetGenerationError at the first failed row
+    and solves no later row (a pool cancels the rows it has not started);
     "skip" leaves failed rows as NaN (see failed_rows) and logs a warning.
-    Worker processes operate on disjoint row blocks, so results are identical
-    to a serial run regardless of scheduling.
     """
     if on_failure not in ("abort", "skip"):
         raise ValueError("on_failure must be 'abort' or 'skip'")
     params = np.atleast_2d(np.asarray(params, dtype=np.float64))
     k = params.shape[0]
     targets = np.empty((k, grid.m))
-
-    if workers <= 1 or k == 1:
-        results = [_solve_block(spec, params, grid, tol, 0)]
-    else:
-        bounds = np.linspace(0, k, min(workers, k) + 1).astype(int)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_solve_block, spec, params[a:b], grid, tol, int(a))
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if b > a
-            ]
-            results = [f.result() for f in futures]
-
-    all_failures: List[Tuple[int, str]] = []
-    for offset, block, failures in results:
-        targets[offset : offset + block.shape[0]] = block
-        all_failures.extend(failures)
-
-    if all_failures:
-        all_failures.sort()
-        row, message = all_failures[0]
-        if on_failure == "abort":
-            raise TargetGenerationError(row, RuntimeError(message))
-        for row, message in all_failures:
-            logger.warning("skipped sample row %d: %s", row, message)
+    solve = functools.partial(_solve_row, spec, grid, tol)
+    size = min(workers, k, _usable_cpus())
+    with contextlib.ExitStack() as stack:
+        rows = map(solve, params)
+        if size > 1:
+            try:
+                pickle.dumps(spec)
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                raise ValueError(
+                    f"workers > 1 sends the system to worker processes, but it does not pickle "
+                    f"({exc}); build it from module-level functions or set generation.workers = 1"
+                ) from exc
+            pool = ProcessPoolExecutor(max_workers=size)
+            stack.callback(pool.shutdown, cancel_futures=True)
+            rows = pool.map(solve, params)
+        for i, result in enumerate(rows):
+            if isinstance(result, IntegrationError):
+                if on_failure == "abort":
+                    raise TargetGenerationError(i, result)
+                logger.warning("skipped sample row %d: %s", i, result)
+                result = np.nan
+            targets[i] = result
     return targets
 
 

@@ -255,3 +255,58 @@ def test_fit_flags_only_on_generate_and_train(tmp_path, capsys):
                 main([*command, "--config", config, *flag])
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _blowup_config(tmp_path, on_failure):
+    # x' = p0*x^2 from x(0) = 1 blows up at t = 1/p0, inside the span [0, 1] when p0 > 1
+    return write_config(
+        tmp_path,
+        tmp_path / on_failure,
+        system="test_dataset:blowup_system",
+        domain={"lower": [0.2], "upper": [2.0]},
+        grid={"m": 4},
+        generation={"on_failure": on_failure},
+    )
+
+
+def _blowup_draws():
+    from trajsurrogate.dataset import RngSeed, sample_parameters
+    from trajsurrogate.dynsys import ParameterDomain
+
+    domain = ParameterDomain(np.array([0.2]), np.array([2.0]))
+    draws = sample_parameters(domain, 12, RngSeed(77, "sampling"))[:, 0]
+    # clear of the boundary p0 = 1, so which rows fail follows from the closed form
+    assert np.all(np.abs(draws - 1.0) > 0.05)
+    return np.split(draws, [6, 9])
+
+
+def test_plugin_failure_aborts_at_first_failed_row(tmp_path, capsys):
+    config = _blowup_config(tmp_path, "abort")
+    first = int(np.flatnonzero(_blowup_draws()[0] > 1.0)[0])
+    assert main(["generate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(
+        f"error: TargetGenerationError: integration failed for sample row {first}: "
+    )
+
+
+def test_plugin_failure_is_skipped_and_reported(tmp_path, capsys):
+    config = _blowup_config(tmp_path, "skip")
+    assert main(["generate", "--config", str(config)]) == 0
+    lines = {line.split(":")[0]: line for line in capsys.readouterr().out.splitlines()}
+    for role, draws in zip(("train", "validation", "test"), _blowup_draws()):
+        good = draws[draws < 1.0]
+        saved = load_dataset(tmp_path / "skip" / f"{role}.ds")
+        assert saved.k == good.size
+        assert np.array_equal(saved.params[:, 0], good)
+        assert np.all(np.isfinite(saved.targets))
+        assert lines[role].startswith(f"{role}: k={good.size} written to ")
+        assert lines[role].endswith(f" s, {draws.size - good.size} failures)")
+
+
+@pytest.mark.parametrize("system", ["nosuchmodule:factory", "builtins:dict"])
+def test_bad_plugin_is_a_config_error(tmp_path, capsys, system):
+    config = write_config(tmp_path, tmp_path / "bad", system=system, domain={"lower": [0.0], "upper": [1.0]})
+    assert main(["generate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: ConfigError: ")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajsurrogate import dataset
 from trajsurrogate.dataset import (
     DatasetFormatError,
     RngSeed,
@@ -21,7 +22,7 @@ from trajsurrogate.dataset import (
     save_dataset,
 )
 from trajsurrogate.dynsys import ParameterDomain, SystemSpec, default_domain
-from trajsurrogate.integrator import TimeGrid, ToleranceSettings, solve_trajectory
+from trajsurrogate.integrator import IntegrationError, TimeGrid, ToleranceSettings, solve_trajectory
 
 from conftest import decay_system
 
@@ -61,17 +62,25 @@ def parametric_decay(tf: float = 1.0) -> SystemSpec:
     )
 
 
+def _blowup_rhs(t, x, p):
+    return p[0] * x * x
+
+
+def _blowup_jac(t, x, p):
+    return np.array([[2.0 * p[0] * x[0]]])
+
+
 def blowup_system() -> SystemSpec:
     """x' = p0*x^2 from x(0)=1 blows up at t = 1/p0; rows with p0 > 1 fail."""
     return SystemSpec(
         dim=1,
-        mass=lambda p: np.eye(1),
-        rhs=lambda t, x, p: p[0] * x * x,
-        qoi=lambda x: float(x[0]),
-        initial=lambda p: np.array([1.0]),
+        mass=_unit_mass,
+        rhs=_blowup_rhs,
+        qoi=_first_component,
+        initial=_unit_initial,
         t0=0.0,
         tf=1.0,
-        jac=lambda t, x, p: np.array([[2.0 * p[0] * x[0]]]),
+        jac=_blowup_jac,
     )
 
 
@@ -153,14 +162,76 @@ def test_parallel_generation_matches_serial():
     assert np.array_equal(serial, parallel)
 
 
-def test_abort_reports_first_failing_row():
+def test_abort_reports_first_failing_row(monkeypatch):
     spec = blowup_system()
     grid = TimeGrid.for_system(spec, m=4)
     tol = ToleranceSettings(max_steps=3000)
     params = np.array([[0.1], [5.0], [0.2], [8.0]])
     with pytest.raises(TargetGenerationError) as err:
+        generate_targets(spec, params, grid, tol, on_failure="abort", workers=2)
+    assert err.value.row == 1
+    solved = []
+
+    def counting_solve(spec, row, grid, tol):
+        solved.append(row[0])
+        return solve_trajectory(spec, row, grid, tol)
+
+    monkeypatch.setattr(dataset, "solve_trajectory", counting_solve)
+    with pytest.raises(TargetGenerationError) as err:
         generate_targets(spec, params, grid, tol, on_failure="abort")
     assert err.value.row == 1
+    # no row after the first failure is solved
+    assert solved == [0.1, 5.0]
+    # the integrator's own exception, not a wrapper around its message
+    assert isinstance(err.value.cause, IntegrationError)
+    assert str(err.value) == f"integration failed for sample row 1: {err.value.cause}"
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool's size, maps in-process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def map(self, fn, rows):
+        return map(fn, rows)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Sizes of the pools generate_targets starts, on four usable CPUs, with no process started."""
+    sizes = []
+    monkeypatch.setattr(dataset, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(sizes, max_workers))
+    monkeypatch.setattr(dataset.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    return sizes
+
+
+def test_pool_is_capped_by_rows_and_usable_cpus(monkeypatch, pool_sizes):
+    spec = parametric_decay()
+    grid = TimeGrid.for_system(spec, m=3)
+    params = np.linspace(0.5, 1.5, 10)[:, None]
+    serial = generate_targets(spec, params, grid)
+    for workers, k in ((64, 3), (64, 10), (3, 10), (1, 10), (64, 1)):
+        assert np.array_equal(generate_targets(spec, params[:k], grid, workers=workers), serial[:k])
+    assert pool_sizes == [3, 4, 3]
+    # without an affinity mask the CPU count bounds the pool
+    monkeypatch.delattr(dataset.os, "sched_getaffinity")
+    monkeypatch.setattr(dataset.os, "cpu_count", lambda: 2)
+    generate_targets(spec, params, grid, workers=64)
+    assert pool_sizes == [3, 4, 3, 2]
+
+
+def test_unpicklable_system_fails_before_any_solve(monkeypatch, pool_sizes):
+    solved = []
+    monkeypatch.setattr(dataset, "solve_trajectory", lambda *args: solved.append(args))
+    spec = decay_system()  # built from lambdas
+    with pytest.raises(ValueError, match="generation.workers = 1"):
+        generate_targets(spec, np.zeros((4, 1)), TimeGrid.for_system(spec, m=3), workers=2)
+    assert pool_sizes == []
+    assert solved == []
 
 
 def test_skip_leaves_nan_rows():
@@ -173,6 +244,8 @@ def test_skip_leaves_nan_rows():
     good = [0, 2]
     assert np.all(np.isfinite(targets[good]))
     assert np.all(np.isnan(targets[[1, 3]]))
+    pooled = generate_targets(spec, params, grid, tol, on_failure="skip", workers=2)
+    assert np.array_equal(pooled, targets, equal_nan=True)
 
 
 def test_generate_rejects_unknown_policy():
