@@ -48,6 +48,14 @@ class ConfigError(RuntimeError):
     """Invalid or inconsistent run configuration."""
 
 
+def _check_keys(section: str, got, known: Dict) -> None:
+    if not isinstance(got, dict):
+        raise ConfigError(f"{section} must be a JSON object, not {type(got).__name__}")
+    unknown = sorted(set(got) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown keys in {section}: {unknown}")
+
+
 @dataclasses.dataclass
 class RunConfig:
     """Everything a run needs; serializable, so runs regenerate identically."""
@@ -72,6 +80,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: Dict) -> "RunConfig":
+        # the keys run_config.json can hold: what to_dict writes, with a domain
+        layout = cls(lower=[], upper=[]).to_dict()
+        layout["training"] = {f.name: None for f in dataclasses.fields(TrainConfig)}
+        _check_keys("config", doc, layout)
+        for section, keys in layout.items():
+            if isinstance(keys, dict) and section in doc:
+                _check_keys(section, doc[section], keys)
         cfg = cls()
         cfg.system = doc.get("system", cfg.system)
         domain = doc.get("domain", {})
@@ -140,6 +155,8 @@ class RunConfig:
             factory = getattr(importlib.import_module(mod_name), attr)
         except (ImportError, AttributeError) as exc:
             raise ConfigError(f"cannot load system factory {self.system!r}: {exc}") from exc
+        if not callable(factory):
+            raise ConfigError(f"system factory {self.system!r} is not callable")
         spec = factory()
         if not isinstance(spec, SystemSpec):
             raise ConfigError(f"{self.system!r} did not return a SystemSpec")
@@ -158,10 +175,6 @@ class RunConfig:
         return ToleranceSettings(rtol=self.rtol, atol=self.atol)
 
     def train_config(self) -> TrainConfig:
-        allowed = {f.name for f in dataclasses.fields(TrainConfig)}
-        unknown = set(self.training) - allowed
-        if unknown:
-            raise ConfigError(f"unknown training options: {sorted(unknown)}")
         return TrainConfig(**self.training)
 
 

@@ -30,6 +30,7 @@ _ERR_CONST = {1: 0.5, 2: 2.0 / 9.0}
 _NEWTON_MAX_ITER = 7
 _NEWTON_KAPPA = 0.33  # accept when weighted update norm drops below this
 _MAX_STEP_HALVINGS = 3
+_MIN_STEP = 1e-14  # a step below this (other than the final clamp) is an underflow
 
 # LAPACK solve of one square system, without np.linalg.solve's per-call checks;
 # a singular matrix gives NaN (and sets the invalid flag) instead of LinAlgError
@@ -67,11 +68,10 @@ class ToleranceSettings:
     rtol: float = 1e-4
     atol: float = 1e-6
     max_steps: int = 1_000_000
-    min_step: float = 1e-14
 
     def __post_init__(self) -> None:
-        if self.rtol <= 0 or self.atol <= 0 or self.min_step <= 0:
-            raise ValueError("rtol, atol and min_step must be positive")
+        if self.rtol <= 0 or self.atol <= 0:
+            raise ValueError("rtol and atol must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 
@@ -201,7 +201,7 @@ def _initial_step(spec: SystemSpec, x0: np.ndarray, slope0: np.ndarray, tol: Tol
         h0 = 1e-6 * span
     else:
         h0 = 0.01 * d0 / d1
-    return float(min(max(h0, tol.min_step), span / 10.0))
+    return float(min(max(h0, _MIN_STEP), span / 10.0))
 
 
 class _Newton:
@@ -293,8 +293,8 @@ def integrate(
 
         clamped = t + h >= spec.tf
         h_eff = spec.tf - t if clamped else h
-        if h_eff < tol.min_step and not clamped:
-            raise StepUnderflowError(f"step {h_eff:.3e} below min_step {tol.min_step:.3e} at t={t:.6g}")
+        if h_eff < _MIN_STEP and not clamped:
+            raise StepUnderflowError(f"step {h_eff:.3e} below the step floor {_MIN_STEP:.3e} at t={t:.6g}")
         t_new = spec.tf if clamped else t + h_eff
 
         order, x_pred, a0_h, hist = _predict(times, states, derivs, t_new, h_eff)
@@ -314,9 +314,9 @@ def integrate(
                         f"Newton failed after {_MAX_STEP_HALVINGS} step halvings at t={t:.6g}"
                     )
                 h = h_eff * 0.5
-                if h < tol.min_step:
+                if h < _MIN_STEP:
                     raise StepUnderflowError(
-                        f"step {h:.3e} below min_step {tol.min_step:.3e} at t={t:.6g}"
+                        f"step {h:.3e} below the step floor {_MIN_STEP:.3e} at t={t:.6g}"
                     )
                 newton.refresh(t, x_n)
                 continue
@@ -337,9 +337,9 @@ def integrate(
             h = h_eff * factor
         else:
             h = h_eff * factor
-            if h < tol.min_step:
+            if h < _MIN_STEP:
                 raise StepUnderflowError(
-                    f"step {h:.3e} below min_step {tol.min_step:.3e} at t={t:.6g}"
+                    f"step {h:.3e} below the step floor {_MIN_STEP:.3e} at t={t:.6g}"
                 )
 
     return SolutionPath(

@@ -52,21 +52,24 @@ class ConfigMismatchError(RuntimeError):
 
 
 class MinStepError(RuntimeError):
-    """Line search collapsed below the configured step floor."""
+    """Line search collapsed below the step floor."""
+
+
+# Fixed constants of the methods and the stopping rules.
+PATIENCE = 6  # epochs above the best validation MSE before a validation stop
+MIN_GRADIENT = 1e-7  # max-abs gradient below which training stops
+MIN_STEP = 1e-12  # line-search step floor (CG, OSS)
+MOMENTUM = 0.9  # GDX momentum
+LR_INITIAL = 0.01  # GDX initial learning rate
+LR_UP = 1.05  # GDX rate factor after a decrease
+LR_DOWN = 0.7  # GDX rate factor after a rejected step
+ERR_RATIO = 1.04  # GDX rejects a step whose loss exceeds this ratio
 
 
 @dataclasses.dataclass
 class TrainConfig:
     method: TrainMethod = TrainMethod.CG
     max_epochs: int = 10000
-    patience: int = 6
-    min_gradient: float = 1e-7
-    min_step: float = 1e-12
-    momentum: float = 0.9
-    lr_initial: float = 0.01
-    lr_up: float = 1.05
-    lr_down: float = 0.7
-    err_ratio: float = 1.04
 
     def __post_init__(self):
         if isinstance(self.method, str):
@@ -74,12 +77,6 @@ class TrainConfig:
         # max_epochs = 0 is the documented zero-budget case
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be non-negative")
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
-        if min(self.min_gradient, self.min_step, self.lr_initial, self.lr_up, self.lr_down, self.err_ratio) <= 0:
-            raise ValueError("rates and floors must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
 
 
 @dataclasses.dataclass
@@ -125,7 +122,6 @@ class OptState:
 
     loss_fn: Callable[[np.ndarray], float]
     grad_fn: Callable[[np.ndarray], np.ndarray]
-    cfg: TrainConfig
     w: np.ndarray
     loss: float
     grad: np.ndarray
@@ -143,7 +139,6 @@ def make_state(
     loss_fn: Callable[[np.ndarray], float],
     grad_fn: Callable[[np.ndarray], np.ndarray],
     w0: np.ndarray,
-    cfg: TrainConfig,
 ) -> OptState:
     """Initial optimizer state; raises NonFiniteLossError before any gradient
     is taken when the loss at w0 is not finite."""
@@ -154,11 +149,10 @@ def make_state(
     return OptState(
         loss_fn=loss_fn,
         grad_fn=grad_fn,
-        cfg=cfg,
         w=w0,
         loss=loss,
         grad=np.asarray(grad_fn(w0), dtype=np.float64),
-        lr=cfg.lr_initial,
+        lr=LR_INITIAL,
         velocity=np.zeros_like(w0),
     )
 
@@ -220,7 +214,7 @@ def _descend(state: OptState, d: np.ndarray) -> None:
         alpha0 = state.alpha_prev * min(10.0, max(0.1, state.slope_prev / slope))
     else:
         alpha0 = 1.0 / max(1.0, float(np.max(np.abs(g))))
-    alpha, f_new, state.w = _line_search(state.loss_fn, state.w, d, state.loss, slope, state.cfg.min_step, alpha0)
+    alpha, f_new, state.w = _line_search(state.loss_fn, state.w, d, state.loss, slope, MIN_STEP, alpha0)
     state.step_prev = alpha * d
     state.grad_prev = g
     state.direction = d
@@ -267,22 +261,21 @@ def step_oss(state: OptState) -> OptState:
 def step_gdx(state: OptState) -> OptState:
     """Gradient descent with momentum and adaptive learning rate.
 
-    A candidate whose loss exceeds err_ratio times the current loss is
+    A candidate whose loss exceeds ERR_RATIO times the current loss is
     rejected: weights stay, the rate shrinks, momentum resets.  Accepted
     candidates that decrease the loss grow the rate.
     """
-    cfg = state.cfg
-    dw = cfg.momentum * state.velocity - (1.0 - cfg.momentum) * state.lr * state.grad
+    dw = MOMENTUM * state.velocity - (1.0 - MOMENTUM) * state.lr * state.grad
     w_try = state.w + dw
     f_new = float(state.loss_fn(w_try))
-    if not math.isfinite(f_new) or f_new > cfg.err_ratio * state.loss:
-        state.lr *= cfg.lr_down
+    if not math.isfinite(f_new) or f_new > ERR_RATIO * state.loss:
+        state.lr *= LR_DOWN
         state.velocity = np.zeros_like(state.w)
     else:
         state.w = w_try
         state.velocity = dw
         if f_new < state.loss:
-            state.lr *= cfg.lr_up
+            state.lr *= LR_UP
         state.loss = f_new
         state.grad = np.asarray(state.grad_fn(state.w), dtype=np.float64)
     state.iters += 1
@@ -369,23 +362,16 @@ def train(
     roles = (("train", train_set), ("valid", valid_set), ("test", test_set))
     sets = {key: s for key, s in roles if s is not None}
     elm = net.hidden_transfer is TransferKind.HARDLIM and net.n_layers >= 2
-    if elm:
-        work = NetworkParams([net.weights[-1]], [net.biases[-1]], TransferKind.PURELIN)
-        n_hidden = net.sizes[-2]
-        work_norm = Normalizer(
-            -np.ones(n_hidden), np.ones(n_hidden), norm.out_min, norm.out_max
-        )
-    else:
-        work = net
-        work_norm = norm
     # `work` only lends its shapes to the views; the caller's arrays stay as they are
+    work = NetworkParams([net.weights[-1]], [net.biases[-1]], TransferKind.PURELIN) if elm else net
+    # hard-limit features are exactly 0.0 or 1.0 and feed the output layer as they are
     inputs = {
-        key: work_norm.normalize_in(hidden_features(net, norm, s.params) if elm else s.params)
+        key: hidden_features(net, norm, s.params) if elm else norm.normalize_in(s.params)
         for key, s in sets.items()
     }
 
     def mse_at(w: np.ndarray, key: str, keep: Optional[list] = None) -> float:
-        return loss_mse(_view(work, w), work_norm, inputs[key], sets[key].targets, normalized=True, keep=keep)
+        return loss_mse(_view(work, w), norm, inputs[key], sets[key].targets, normalized=True, keep=keep)
 
     # [w, forward pass] of the latest train-set loss, until the gradient at
     # that same array (told apart by identity, not by value) takes it
@@ -399,10 +385,10 @@ def train(
     def grad_fn(w: np.ndarray) -> np.ndarray:
         fp = kept.pop() if len(kept) == 2 and kept[0] is w else None
         kept.clear()
-        g = gradient(_view(work, w), work_norm, inputs["train"], train_set.targets, normalized=True, fp=fp)
+        g = gradient(_view(work, w), norm, inputs["train"], train_set.targets, normalized=True, fp=fp)
         return pack(g)
 
-    state = make_state(loss_fn, grad_fn, pack(work), cfg)
+    state = make_state(loss_fn, grad_fn, pack(work))
     valid0 = mse_at(state.w, "valid")
     if not math.isfinite(valid0):
         raise NonFiniteLossError("initial validation loss is not finite")
@@ -418,7 +404,7 @@ def train(
     stepper = _STEPPERS[cfg.method]
 
     for epoch in range(1, cfg.max_epochs + 1):
-        if float(np.max(np.abs(state.grad))) < cfg.min_gradient:
+        if float(np.max(np.abs(state.grad))) < MIN_GRADIENT:
             stop = StopReason.MIN_GRADIENT
             break
         try:
@@ -436,7 +422,7 @@ def train(
         if rule.update(v):
             best_w = state.w.copy()
             best_epoch = epoch
-        if rule.streak >= cfg.patience:
+        if rule.streak >= PATIENCE:
             stop = StopReason.VALIDATION_STOP
             break
 

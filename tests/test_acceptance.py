@@ -40,7 +40,7 @@ from trajsurrogate.neuralnet import (
     init_weights,
     loss_mse,
 )
-from trajsurrogate.training import StopReason, TrainConfig, early_stop_check, train
+from trajsurrogate.training import PATIENCE, StopReason, TrainConfig, early_stop_check, train
 
 from tests.conftest import decay_system
 
@@ -262,7 +262,7 @@ def test_conjugate_gradient_final_mse_beats_adaptive_descent(reference_data, tra
     train_set, valid_set = sets["train"], sets["validation"]
     kind = TransferKind.HARDLIM
     record = models[("gdx", kind)][1]
-    patience = TrainConfig().patience
+    patience = PATIENCE
     valid0 = loss_mse(_initial_net(train_set, kind), norm, valid_set.params, valid_set.targets)
     history = [valid0] + record.mse_valid
     justified = early_stop_check(history, patience) and not early_stop_check(history[:-1], patience)

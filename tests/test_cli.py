@@ -174,9 +174,10 @@ def test_unknown_training_key_is_rejected(tmp_path, capsys):
     config = write_config(
         tmp_path, out, training={"method": "cg", "max_epochs": 5, "warmup": 3}
     )
-    assert main(["generate", "--config", str(config)]) == 0
-    assert main(["train", "--config", str(config)]) == 2
-    assert "warmup" in capsys.readouterr().err
+    for command in ("generate", "train"):
+        assert main([command, "--config", str(config)]) == 2
+        assert "warmup" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.ds"))
 
 
 def test_invalid_json_config_is_reported(tmp_path, capsys):
@@ -303,10 +304,32 @@ def test_plugin_failure_is_skipped_and_reported(tmp_path, capsys):
         assert np.all(np.isfinite(saved.targets))
         assert lines[role].startswith(f"{role}: k={good.size} written to ")
         assert lines[role].endswith(f" s, {draws.size - good.size} failures)")
+    # the plug-in's run_config.json, domain included, reads back unchanged
+    saved = tmp_path / "skip" / "run_config.json"
+    assert RunConfig.from_file(str(saved)).to_dict() == json.loads(saved.read_text())
 
 
-@pytest.mark.parametrize("system", ["nosuchmodule:factory", "builtins:dict"])
+@pytest.mark.parametrize("system", ["nosuchmodule:factory", "builtins:dict", "math:pi"])
 def test_bad_plugin_is_a_config_error(tmp_path, capsys, system):
     config = write_config(tmp_path, tmp_path / "bad", system=system, domain={"lower": [0.0], "upper": [1.0]})
     assert main(["generate", "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith("error: ConfigError: ")
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        ({"seed": 5}, "'seed'"),
+        ({"samples": {"trian": 5}}, "samples: ['trian']"),
+        ({"training": {"method": "cg", "patience": 6}}, "training: ['patience']"),
+        ({"grid": 50}, "grid must be a JSON object"),
+    ],
+    ids=["top-level", "samples.trian", "training.patience", "grid-not-object"],
+)
+def test_config_keys_the_program_does_not_read_are_errors(tmp_path, capsys, overrides, named):
+    config = write_config(tmp_path, tmp_path / "run", **overrides)
+    assert main(["generate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ")
+    assert named in err
+    assert not list(tmp_path.rglob("*.ds"))
