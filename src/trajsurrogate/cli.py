@@ -8,17 +8,19 @@ any failure.  A run is reproducible from its configuration and seeds alone.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import importlib
 import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dataset import (
+    ON_FAILURE,
     ROLES,
     RngSeed,
     SampleSet,
@@ -48,7 +50,60 @@ class ConfigError(RuntimeError):
     """Invalid or inconsistent run configuration."""
 
 
-def _check_keys(section: str, got, known: Dict) -> None:
+def _is(value, typ: type) -> bool:
+    """JSON type test: a bool is no number, and an integer is also a float."""
+    return not isinstance(value, bool) and isinstance(value, (int, float) if typ is float else typ)
+
+
+# rules of the last _LAYOUT column: (test of a value of the row's type, what it must be)
+_TEXT = (lambda v: True, "a string")
+_OBJECT = (lambda v: True, "a JSON object")
+_COUNT = (lambda v: v >= 1, "an integer >= 1")
+_POSITIVE = (lambda v: v > 0, "a positive number")
+_SEED = (lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")  # the range RngSeed takes
+_WIDTHS = (lambda v: all(_is(h, int) and h >= 1 for h in v), "a list of integers >= 1")
+_BOUNDS = (lambda v: all(_is(x, float) for x in v), "a list of numbers")
+
+
+def _one_of(choices: list) -> tuple:
+    return (lambda v: v in choices, f"one of {choices}")
+
+
+# The layout of the run configuration, stated once: (JSON path, RunConfig
+# field, JSON type, rule).  run_config.json is written in this order.  The
+# domain is optional; ParameterDomain checks its two bounds together, and
+# TrainConfig checks the training block.
+_LAYOUT = (
+    ("system", "system", str, _TEXT),
+    ("grid.m", "m", int, _COUNT),
+    ("tolerances.rtol", "rtol", float, _POSITIVE),
+    ("tolerances.atol", "atol", float, _POSITIVE),
+    ("samples.train", "n_train", int, _COUNT),
+    ("samples.validation", "n_validation", int, _COUNT),
+    ("samples.test", "n_test", int, _COUNT),
+    ("seed_data", "seed_data", int, _SEED),
+    ("seed_weights", "seed_weights", int, _SEED),
+    ("network.hidden", "hidden", list, _WIDTHS),
+    ("network.transfer", "transfer", str, _one_of([k.value for k in TransferKind])),
+    ("training", "training", dict, _OBJECT),
+    ("generation.on_failure", "on_failure", str, _one_of(list(ON_FAILURE))),
+    ("generation.workers", "workers", int, _COUNT),
+    ("out", "out", str, _TEXT),
+    ("domain.lower", "lower", list, _BOUNDS),
+    ("domain.upper", "upper", list, _BOUNDS),
+)
+
+
+def _nest(pairs: Iterable[Tuple[str, object]]) -> Dict:
+    """(dotted path, value) pairs as nested JSON objects, in pair order."""
+    doc: Dict = {}
+    for path, value in pairs:
+        section, _, key = path.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+    return doc
+
+
+def _check_keys(section: str, got, known: Iterable[str]) -> None:
     if not isinstance(got, dict):
         raise ConfigError(f"{section} must be a JSON object, not {type(got).__name__}")
     unknown = sorted(set(got) - set(known))
@@ -58,7 +113,11 @@ def _check_keys(section: str, got, known: Dict) -> None:
 
 @dataclasses.dataclass
 class RunConfig:
-    """Everything a run needs; serializable, so runs regenerate identically."""
+    """Everything a run needs; serializable, so runs regenerate identically.
+
+    Construction checks every value against _LAYOUT, so a config file, a flag
+    override and a config built in code all fail as one ConfigError naming the
+    JSON path and the bad value."""
 
     system: str = "circuit"
     lower: Optional[List[float]] = None
@@ -78,39 +137,40 @@ class RunConfig:
     workers: int = 1
     out: str = "run"
 
+    def __post_init__(self) -> None:
+        for path, field, typ, (test, must_be) in _LAYOUT:
+            value = getattr(self, field)
+            if value is None and path.startswith("domain."):
+                continue  # no domain given
+            if not (_is(value, typ) and test(value)):
+                raise ConfigError(f"{path}: {value!r} is not {must_be}")
+            if typ is float:
+                setattr(self, field, float(value))
+        _check_keys("training", self.training, [f.name for f in dataclasses.fields(TrainConfig)])
+        try:
+            self.train_config()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"training: {exc}") from exc
+        if self.lower is not None or self.upper is not None:
+            try:
+                ParameterDomain(self.lower, self.upper)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"domain: {exc} (lower {self.lower}, upper {self.upper})") from exc
+
     @classmethod
     def from_dict(cls, doc: Dict) -> "RunConfig":
-        # the keys run_config.json can hold: what to_dict writes, with a domain
-        layout = cls(lower=[], upper=[]).to_dict()
-        layout["training"] = {f.name: None for f in dataclasses.fields(TrainConfig)}
-        _check_keys("config", doc, layout)
-        for section, keys in layout.items():
-            if isinstance(keys, dict) and section in doc:
+        known = _nest((path, None) for path, *_ in _LAYOUT)
+        _check_keys("config", doc, known)
+        for section, keys in known.items():
+            if keys is not None and section in doc:
                 _check_keys(section, doc[section], keys)
-        cfg = cls()
-        cfg.system = doc.get("system", cfg.system)
-        domain = doc.get("domain", {})
-        cfg.lower = domain.get("lower")
-        cfg.upper = domain.get("upper")
-        cfg.m = int(doc.get("grid", {}).get("m", cfg.m))
-        tol = doc.get("tolerances", {})
-        cfg.rtol = float(tol.get("rtol", cfg.rtol))
-        cfg.atol = float(tol.get("atol", cfg.atol))
-        samples = doc.get("samples", {})
-        cfg.n_train = int(samples.get("train", cfg.n_train))
-        cfg.n_validation = int(samples.get("validation", cfg.n_validation))
-        cfg.n_test = int(samples.get("test", cfg.n_test))
-        cfg.seed_data = int(doc.get("seed_data", cfg.seed_data))
-        cfg.seed_weights = int(doc.get("seed_weights", cfg.seed_weights))
-        network = doc.get("network", {})
-        cfg.hidden = [int(h) for h in network.get("hidden", cfg.hidden)]
-        cfg.transfer = network.get("transfer", cfg.transfer)
-        cfg.training = dict(doc.get("training", {}))
-        generation = doc.get("generation", {})
-        cfg.on_failure = generation.get("on_failure", cfg.on_failure)
-        cfg.workers = int(generation.get("workers", cfg.workers))
-        cfg.out = doc.get("out", cfg.out)
-        return cfg
+        values = {}
+        for path, field, *_ in _LAYOUT:
+            section, _, key = path.rpartition(".")
+            node = doc.get(section, {}) if section else doc
+            if key in node:
+                values[field] = node[key]
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -121,25 +181,8 @@ class RunConfig:
         return cls.from_dict(doc)
 
     def to_dict(self) -> Dict:
-        doc: Dict = {
-            "system": self.system,
-            "grid": {"m": self.m},
-            "tolerances": {"rtol": self.rtol, "atol": self.atol},
-            "samples": {
-                "train": self.n_train,
-                "validation": self.n_validation,
-                "test": self.n_test,
-            },
-            "seed_data": self.seed_data,
-            "seed_weights": self.seed_weights,
-            "network": {"hidden": list(self.hidden), "transfer": self.transfer},
-            "training": dict(self.training),
-            "generation": {"on_failure": self.on_failure, "workers": self.workers},
-            "out": self.out,
-        }
-        if self.lower is not None or self.upper is not None:
-            doc["domain"] = {"lower": self.lower, "upper": self.upper}
-        return doc
+        values = ((path, getattr(self, field)) for path, field, *_ in _LAYOUT)
+        return copy.deepcopy(_nest((path, v) for path, v in values if v is not None))
 
     def resolve_system(self) -> SystemSpec:
         """Built-in circuit, or a plug-in "package.module:factory" returning
@@ -163,13 +206,14 @@ class RunConfig:
         return spec
 
     def resolve_domain(self) -> ParameterDomain:
-        if self.lower is None and self.upper is None:
+        if self.lower is None:  # construction allows both bounds or neither
             if self.system == "circuit":
                 return default_domain()
             raise ConfigError("plug-in systems require explicit domain bounds in the config")
-        if self.lower is None or self.upper is None:
-            raise ConfigError("domain needs both lower and upper bounds")
-        return ParameterDomain(np.asarray(self.lower), np.asarray(self.upper))
+        domain, q = ParameterDomain(self.lower, self.upper), default_domain().dim
+        if self.system == "circuit" and domain.dim != q:
+            raise ConfigError(f"domain: the circuit takes {q} parameters, not {domain.dim}")
+        return domain
 
     def tolerance_settings(self) -> ToleranceSettings:
         return ToleranceSettings(rtol=self.rtol, atol=self.atol)
@@ -398,17 +442,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if args.out is not None:
-        cfg.out = args.out
-    if getattr(args, "seed_data", None) is not None:
-        cfg.seed_data = args.seed_data
-    if getattr(args, "seed_weights", None) is not None:
-        cfg.seed_weights = args.seed_weights
+    # a flag named after a RunConfig field overrides it; --method overrides the training block's
+    changes = {f.name: getattr(args, f.name) for f in dataclasses.fields(cfg)
+               if getattr(args, f.name, None) is not None}
     if getattr(args, "method", None) is not None:
-        cfg.training["method"] = args.method
-    if getattr(args, "transfer", None) is not None:
-        cfg.transfer = args.transfer
-    return cfg
+        changes["training"] = {**cfg.training, "method": args.method}
+    return dataclasses.replace(cfg, **changes)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

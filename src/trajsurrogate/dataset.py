@@ -31,6 +31,8 @@ _MAGIC = b"TJDS"
 _VERSION = 1
 # the three sample sets of a run, in report order
 ROLES = ("train", "validation", "test")
+# what generate_targets does with a row whose solve fails
+ON_FAILURE = ("abort", "skip")
 
 # spawn keys per named stream: sampling and weight draws never collide
 _STREAM_IDS = {"sampling": 0, "weights": 1}
@@ -141,8 +143,8 @@ def generate_targets(
     and solves no later row (a pool cancels the rows it has not started);
     "skip" leaves failed rows as NaN (see failed_rows) and logs a warning.
     """
-    if on_failure not in ("abort", "skip"):
-        raise ValueError("on_failure must be 'abort' or 'skip'")
+    if on_failure not in ON_FAILURE:
+        raise ValueError(f"on_failure must be one of {ON_FAILURE}")
     params = np.atleast_2d(np.asarray(params, dtype=np.float64))
     k = params.shape[0]
     targets = np.empty((k, grid.m))

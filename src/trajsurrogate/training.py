@@ -75,8 +75,9 @@ class TrainConfig:
         if isinstance(self.method, str):
             self.method = TrainMethod(self.method)
         # max_epochs = 0 is the documented zero-budget case
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be non-negative")
+        epochs = self.max_epochs
+        if not isinstance(epochs, int) or isinstance(epochs, bool) or epochs < 0:
+            raise ValueError(f"max_epochs must be a non-negative integer, not {epochs!r}")
 
 
 @dataclasses.dataclass

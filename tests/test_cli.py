@@ -7,13 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajsurrogate.cli import RunConfig, main
-from trajsurrogate.dataset import load_dataset
-from trajsurrogate.neuralnet import load_model
+from trajsurrogate.dataset import ON_FAILURE, load_dataset
+from trajsurrogate.neuralnet import TransferKind, load_model
+from trajsurrogate.training import TrainMethod
 
 
-def write_config(tmp_path, out, **overrides):
+def write_config(tmp_path, run_dir, **overrides):
     doc = {
         "system": "circuit",
         "grid": {"m": 20},
@@ -22,7 +25,7 @@ def write_config(tmp_path, out, **overrides):
         "seed_weights": 78,
         "network": {"hidden": [8], "transfer": "purelin"},
         "training": {"method": "cg", "max_epochs": 15},
-        "out": str(out),
+        "out": str(run_dir),
     }
     doc.update(overrides)
     path = tmp_path / "config.json"
@@ -316,6 +319,9 @@ def test_bad_plugin_is_a_config_error(tmp_path, capsys, system):
     assert capsys.readouterr().err.startswith("error: ConfigError: ")
 
 
+_CIRCUIT_LOWER, _CIRCUIT_UPPER = [2e-9, 2e-9, 1e6, 1e8], [3e-9, 3e-9, 2e6, 2e8]
+
+
 @pytest.mark.parametrize(
     "overrides, named",
     [
@@ -323,13 +329,90 @@ def test_bad_plugin_is_a_config_error(tmp_path, capsys, system):
         ({"samples": {"trian": 5}}, "samples: ['trian']"),
         ({"training": {"method": "cg", "patience": 6}}, "training: ['patience']"),
         ({"grid": 50}, "grid must be a JSON object"),
+        ({"samples": {"train": -1, "validation": 1, "test": 1}}, "samples.train: -1 "),
+        ({"samples": {"train": 0}}, "samples.train: 0 "),
+        ({"samples": {"test": 0}}, "samples.test: 0 "),
+        ({"grid": {"m": "abc"}}, "grid.m: 'abc' "),
+        ({"grid": {"m": 5.7}}, "grid.m: 5.7 "),
+        ({"grid": {"m": True}}, "grid.m: True "),
+        ({"network": {"hidden": 5}}, "network.hidden: 5 "),
+        ({"network": {"hidden": [0]}}, "network.hidden: [0] "),
+        ({"network": {"transfer": "relu"}}, "network.transfer: 'relu' "),
+        ({"training": {"method": "adam"}}, "training: 'adam' "),
+        ({"training": {"max_epochs": -1}}, "training: max_epochs must be a non-negative integer, not -1"),
+        ({"training": {"max_epochs": "2"}}, "training: max_epochs must be a non-negative integer, not '2'"),
+        ({"generation": {"workers": 0}}, "generation.workers: 0 "),
+        ({"generation": {"on_failure": "retry"}}, "generation.on_failure: 'retry' "),
+        ({"tolerances": {"rtol": "1e-4"}}, "tolerances.rtol: '1e-4' "),
+        ({"out": 5}, "out: 5 "),
+        ({"system": 5}, "system: 5 "),
+        ({"domain": {"lower": _CIRCUIT_UPPER, "upper": _CIRCUIT_LOWER}}, "domain: lower bound exceeds upper bound"),
+        ({"domain": {"lower": [2e-9], "upper": [3e-9]}}, "domain: the circuit takes 4 parameters, not 1"),
     ],
-    ids=["top-level", "samples.trian", "training.patience", "grid-not-object"],
+    ids=[
+        "top-level", "samples.trian", "training.patience", "grid-not-object",
+        "train-negative", "train-zero", "test-zero", "m-string", "m-float", "m-bool",
+        "hidden-int", "hidden-zero", "transfer-relu", "method-adam", "max_epochs-negative",
+        "max_epochs-string", "workers-zero", "on_failure-retry", "rtol-string", "out-int",
+        "system-int", "domain-lower-above-upper", "domain-circuit-length-1",
+    ],
 )
-def test_config_keys_the_program_does_not_read_are_errors(tmp_path, capsys, overrides, named):
+def test_config_errors_name_the_path_before_any_solve(tmp_path, capsys, overrides, named):
     config = write_config(tmp_path, tmp_path / "run", **overrides)
     assert main(["generate", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigError: ")
     assert named in err
     assert not list(tmp_path.rglob("*.ds"))
+
+
+def test_flag_overrides_pass_the_same_checks(tmp_path, capsys):
+    config = write_config(tmp_path, tmp_path / "run")
+    assert main(["generate", "--config", str(config), "--seed-data", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ConfigError: seed_data: -1 ")
+    assert not list(tmp_path.rglob("*.ds"))
+
+
+def _optional(**keys):
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+_counts = st.integers(1, 10**6)
+_seeds = st.integers(0, 2**64 - 1)
+_tolerances = st.floats(1e-15, 1.0) | st.integers(1, 10)
+_bounds = st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e6)), max_size=5).map(
+    lambda pairs: {"lower": [lo for lo, _ in pairs], "upper": [lo + width for lo, width in pairs]}
+)
+valid_configs = _optional(
+    system=st.sampled_from(["circuit", "test_dataset:blowup_system"]),
+    grid=_optional(m=_counts),
+    tolerances=_optional(rtol=_tolerances, atol=_tolerances),
+    samples=_optional(train=_counts, validation=_counts, test=_counts),
+    seed_data=_seeds,
+    seed_weights=_seeds,
+    network=_optional(
+        hidden=st.lists(_counts, max_size=3),
+        transfer=st.sampled_from([k.value for k in TransferKind]),
+    ),
+    training=_optional(
+        method=st.sampled_from([m.value for m in TrainMethod]), max_epochs=st.integers(0, 10**6)
+    ),
+    generation=_optional(on_failure=st.sampled_from(ON_FAILURE), workers=_counts),
+    out=st.text(),
+    domain=_bounds,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs)
+def test_valid_configs_round_trip(doc):
+    cfg = RunConfig.from_dict(doc)
+    saved = json.loads(json.dumps(cfg.to_dict()))
+    for section, value in doc.items():
+        if isinstance(value, dict) and section != "training":
+            for key, entry in value.items():
+                assert saved[section][key] == entry
+        else:
+            assert saved[section] == value
+    assert RunConfig.from_dict(saved) == cfg
+    assert RunConfig.from_dict(saved).to_dict() == saved

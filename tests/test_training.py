@@ -60,6 +60,9 @@ def test_config_validation():
         TrainConfig(method="adam")
     with pytest.raises(ValueError):
         TrainConfig(max_epochs=-1)
+    for not_an_int in ("2", 2.0, True):
+        with pytest.raises(ValueError):
+            TrainConfig(max_epochs=not_an_int)
     TrainConfig(max_epochs=0)  # zero budget allowed
 
 
