@@ -350,10 +350,18 @@ def cmd_evaluate(
     return reports
 
 
+def _parse_list(flag: str, text: str, kind: type) -> list:
+    """A comma-separated flag value as a list of `kind` values."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {text!r} is not a comma-separated list of {kind.__name__}") from exc
+
+
 def cmd_predict(cfg: RunConfig, params: str, compare: bool = False) -> None:
     out = _out_dir(cfg)
     net, norm, _ = load_model(out / "model.tjn")
-    p = np.array([float(v) for v in params.split(",")], dtype=np.float64)
+    p = np.array(_parse_list("--params", params, float), dtype=np.float64)
 
     t_start = time.perf_counter()
     y = forward(net, norm, p)
@@ -383,10 +391,10 @@ def cmd_plot_data(cfg: RunConfig, indices: str, role: str = "test") -> None:
         raise ConfigError(f"role must be one of {ROLES}")
     sample_set = _load_sets(out)[role]
     _check_widths(net, sample_set)
-    idx_list = [int(v) for v in indices.split(",")]
+    idx_list = _parse_list("--indices", indices, int)
     for idx in idx_list:
         if not 0 <= idx < sample_set.k:
-            raise IndexError(f"sample index {idx} out of range [0, {sample_set.k})")
+            raise ConfigError(f"--indices: sample index {idx} out of range [0, {sample_set.k})")
     t = sample_set.grid.points
     for idx in idx_list:
         pred = forward(net, norm, sample_set.params[idx])

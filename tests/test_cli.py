@@ -145,7 +145,22 @@ def test_plot_data_overlays_match_dataset(pipeline):
 def test_plot_data_rejects_out_of_range_index(pipeline, capsys):
     config, _ = pipeline
     assert main(["plot-data", "--config", str(config), "--indices", "99"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: ConfigError: --indices: sample index 99 ")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["predict", "--params", "1,2,x"], "--params: '1,2,x' "),
+    (["predict", "--params", "1,,3,4"], "--params: "),
+    (["plot-data", "--indices", "a"], "--indices: 'a' "),
+    (["plot-data", "--indices", "0,1.5"], "--indices: "),
+    (["plot-data", "--indices", "0,-1"], "--indices: sample index -1 "),
+])
+def test_malformed_or_out_of_range_lists_are_config_errors(pipeline, capsys, argv, named):
+    config, out = pipeline
+    before = sorted(p.name for p in out.iterdir())
+    assert main([*argv[:1], "--config", str(config), *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith(f"error: ConfigError: {named}")
+    assert sorted(p.name for p in out.iterdir()) == before
 
 
 def test_model_and_data_widths_must_agree(pipeline, tmp_path, capsys):

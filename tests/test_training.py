@@ -24,6 +24,9 @@ from trajsurrogate.training import (
     StopReason,
     TrainConfig,
     TrainMethod,
+    _chain_gradient,
+    _chain_inputs,
+    _chain_loss,
     _line_search,
     _view,
     early_stop_check,
@@ -326,14 +329,17 @@ def _digest(values):
     return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
 
 
-# Recorded before losses and gradients ran on weight views, on pre-normalized
-# inputs and on the kept forward pass: those changes must not move a bit.
+# The tansig and hard-limit entries were recorded before losses and gradients
+# ran on weight views, on pre-normalized inputs and on the kept forward pass:
+# those changes must not move a bit.  The purelin entry was recorded when
+# purelin nets moved to the collapsed layer chain, whose losses and gradients
+# equal the full-width ones only to rounding.
 # (epochs, stop reason, sha256 of mse_train + mse_valid + mse_test, sha256 of pack(result))
 _RECORDED_FITS = {
     ("cg", TransferKind.PURELIN): (
         36, StopReason.MIN_GRADIENT,
-        "0c08f3c244da84e82a73ea716d367e87919ee29ead824d83590182b03f2ad758",
-        "cc9fbebbc6967391499468f3d85cf8d4af544fd336fe62e8982d8461adfd9580",
+        "ae2504e823e4926d26e443d674cae987572f19a73571779412bebf168a41be15",
+        "cc7d820936164a15228cb0618f19d95de8197dcc18b70771d3882af869e9ad0b",
     ),
     ("oss", TransferKind.TANSIG): (
         40, StopReason.MAX_EPOCHS,
@@ -359,6 +365,122 @@ def test_fit_matches_recorded_iterates_bitwise(method, kind):
     assert (record.elapsed_epochs, record.stop_reason) == (epochs, stop)
     assert _digest(record.mse_train + record.mse_valid + record.mse_test) == record_sha
     assert _digest(pack(result)) == weights_sha
+
+
+# A net without hidden layers trains on the full-width path: these bits were
+# recorded before the collapsed chain existed.
+_RECORDED_HIDDEN_FREE = {
+    "cg": (
+        18, StopReason.MIN_GRADIENT,
+        "6828e0834123af841d31e3e28537aa0f834af01cc766d36b546aceebb21351a6",
+        "267b6fed833905226b46b78a8ebc4beecbba55df2193c711d3048aa8b3443583",
+    ),
+    "gdx": (
+        40, StopReason.MAX_EPOCHS,
+        "2b55cf535d11f502ae6b3b2fa75c20acf4324922bf8f6a95ebdc474fd971644e",
+        "10ac7f5c5d5014b7217937855285f0651cb4a7c58abf6120ba06102bd82d4a1b",
+    ),
+}
+
+
+@pytest.mark.parametrize("method", list(_RECORDED_HIDDEN_FREE))
+def test_hidden_free_purelin_fit_matches_recorded_iterates_bitwise(method):
+    sets = affine_sets(seed=12)
+    q, m = sets[0].q, sets[0].targets.shape[1]
+    net = init_weights([q, m], TransferKind.PURELIN, RngSeed(13, "weights"))
+    norm = Normalizer.from_training(sets[0].params, sets[0].targets)
+    result, record = train(net, norm, *sets, TrainConfig(method=method, max_epochs=40))
+    epochs, stop, record_sha, weights_sha = _RECORDED_HIDDEN_FREE[method]
+    assert (record.elapsed_epochs, record.stop_reason) == (epochs, stop)
+    assert _digest(record.mse_train + record.mse_valid + record.mse_test) == record_sha
+    assert _digest(pack(result)) == weights_sha
+
+
+# (epochs, stop reason, best epoch) on affine_sets seeds 11, 12, 14, 21, 22;
+# the full-width path gives the same values
+_PURELIN_OUTCOMES = {
+    "cg": [57, 36, 48, 56, 42],
+    "oss": [57, 36, 47, 56, 42],
+    "gdx": [147, 152, 140, 161, 152],
+}
+
+
+@pytest.mark.parametrize("method", list(_PURELIN_OUTCOMES))
+def test_purelin_fit_outcomes_are_pinned(method):
+    outcomes = []
+    for seed in (11, 12, 14, 21, 22):
+        sets = affine_sets(seed=seed)
+        q, m = sets[0].q, sets[0].targets.shape[1]
+        net = init_weights([q, 16, 16, m], TransferKind.PURELIN, RngSeed(13, "weights"))
+        norm = Normalizer.from_training(sets[0].params, sets[0].targets)
+        _, record = train(net, norm, *sets, TrainConfig(method=method, max_epochs=200))
+        outcomes.append((record.elapsed_epochs, record.stop_reason, record.best_epoch))
+    assert outcomes == [(n, StopReason.MIN_GRADIENT, n) for n in _PURELIN_OUTCOMES[method]]
+
+
+@pytest.mark.parametrize("hidden, kind, collapsed", [
+    ([8], TransferKind.PURELIN, True),
+    ([8, 6], TransferKind.PURELIN, True),
+    ([], TransferKind.PURELIN, False),
+    ([8], TransferKind.HARDLIM, False),
+    ([8], TransferKind.TANSIG, False),
+])
+def test_train_takes_the_collapsed_chain_only_for_purelin_hidden_layers(monkeypatch, hidden, kind, collapsed):
+    import trajsurrogate.training as training
+
+    calls = []
+    for name in ("loss_mse", "gradient"):
+        def spy(*args, _f=getattr(training, name), **kwargs):
+            calls.append(_f)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(training, name, spy)
+    sets = affine_sets(seed=15)
+    net = init_weights([sets[0].q, *hidden, sets[0].targets.shape[1]], kind, RngSeed(16, "weights"))
+    norm = Normalizer.from_training(sets[0].params, sets[0].targets)
+    train(net, norm, *sets, TrainConfig(method="cg", max_epochs=3))
+    assert (not calls) is collapsed
+
+
+def _chain_oracle_case(rng, sizes):
+    """A random purelin net and data with one zero-span input component and
+    one zero-range target column."""
+    q, m, k = sizes[0], sizes[-1], 40
+    params = rng.uniform(-2.0, 3.0, (k, q))
+    params[:, 1] = 0.7
+    targets = rng.standard_normal((k, m)) * rng.uniform(0.5, 50.0, m)
+    targets[:, 2] = -1.5
+    norm = Normalizer.from_training(params, targets)
+    weights = [rng.standard_normal((n_out, n_in)) for n_in, n_out in zip(sizes, sizes[1:])]
+    biases = [rng.standard_normal(n_out) for n_out in sizes[1:]]
+    return NetworkParams(weights, biases, TransferKind.PURELIN), norm, params, targets
+
+
+@pytest.mark.parametrize("sizes", [
+    [4, 6],
+    [4, 2, 6],
+    [4, 9, 7],
+    [4, 3, 10, 6],
+    [4, 12, 2, 5, 6],
+])
+def test_collapsed_chain_matches_full_width_loss_and_gradient(sizes):
+    rng = np.random.default_rng(len(sizes) * 100 + sum(sizes))
+    net, norm, params, targets = _chain_oracle_case(rng, sizes)
+    assert norm.output_scale()[2] == 0.0 and norm.in_max[1] == norm.in_min[1]
+    x = _chain_inputs(norm, params)
+    want = loss_mse(net, norm, params, targets)
+    assert math.isclose(_chain_loss(net, norm, x, targets), want, rel_tol=1e-12)
+    full = gradient(net, norm, params, targets)
+    kept = []
+    _chain_loss(net, norm, x, targets, keep=kept)
+    fresh = _chain_gradient(net, norm, x, targets)
+    reused = _chain_gradient(net, norm, x, targets, fp=kept[0])
+    for a, b, c in zip(full.weights + full.biases, fresh.weights + fresh.biases,
+                       reused.weights + reused.biases):
+        assert a.shape == b.shape
+        assert np.max(np.abs(b - a)) <= 1e-12 * np.max(np.abs(a))
+        assert b.tobytes() == c.tobytes()
+    # the zero-range target column gets no gradient on either path
+    assert not fresh.weights[-1][2].any() and fresh.biases[-1][2] == 0.0
 
 
 @pytest.mark.parametrize("kind", list(TransferKind))
