@@ -251,9 +251,31 @@ def _check_widths(net: NetworkParams, sample_set: SampleSet) -> None:
         )
 
 
+def _check_system(spec: SystemSpec, domain: ParameterDomain) -> None:
+    """Evaluate the system once at the domain midpoint, so a callable whose
+    result disagrees with `dim` is a ConfigError before any solve."""
+
+    def check(name: str, value, shape: tuple) -> np.ndarray:
+        value = np.asarray(value)
+        if value.shape != shape or value.dtype.kind not in "biuf":
+            raise ConfigError(
+                f"system {name} returned {value.dtype} of shape {value.shape}, but dim = "
+                f"{spec.dim} needs real values of shape {shape}"
+            )
+        return value
+
+    p, n, t0 = domain.midpoint(), spec.dim, spec.t0
+    check("mass", spec.mass(p), (n, n))
+    x0 = check("initial", spec.initial(p), (n,)).astype(np.float64)
+    check("rhs", spec.rhs(t0, x0, p), (n,))
+    check("state_jacobian", spec.state_jacobian(t0, x0, p), (n, n))
+    check("qoi", spec.qoi(x0), ())
+
+
 def cmd_generate(cfg: RunConfig, csv_export: bool = False) -> None:
     spec = cfg.resolve_system()
     domain = cfg.resolve_domain()
+    _check_system(spec, domain)
     grid = TimeGrid.for_system(spec, m=cfg.m)
     tol = cfg.tolerance_settings()
     out = _out_dir(cfg)

@@ -140,8 +140,14 @@ class Normalizer:
 
     @staticmethod
     def _inv(u: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        # lo + (u + 1) * span / 2 in that order, in one array; lo where the span is zero
         span = hi - lo
-        return np.where(span > 0.0, lo + (u + 1.0) * span / 2.0, lo)
+        out = u + 1.0
+        out *= span
+        out /= 2.0
+        out += lo
+        np.copyto(out, lo, where=~(span > 0.0))
+        return out
 
     def normalize_in(self, p: np.ndarray) -> np.ndarray:
         return self._fwd(np.asarray(p, dtype=np.float64), self.in_min, self.in_max)
@@ -200,19 +206,41 @@ def hidden_features(net: NetworkParams, norm: Normalizer, p: np.ndarray) -> np.n
 
 
 class ForwardPass(NamedTuple):
-    """One batch through the net: the input of every layer (the normalized
-    input first) and the denormalized prediction."""
+    """One batch through the net layer by layer: the input of every layer
+    (the normalized input first) and the denormalized prediction."""
 
     acts: List[np.ndarray]
     pred: np.ndarray
 
 
-def _forward_pass(net: NetworkParams, norm: Normalizer, params: np.ndarray, normalized: bool) -> ForwardPass:
+class _ChainPass(NamedTuple):
+    """One batch through a net of affine layers only, which maps z to z @ P + c,
+    taken from the thin side: x = [z, 1], the (q+1)-row prefix maps [I; 0] @
+    W_1' ... W_j' with the biases in their last row (layer j's input is
+    x @ prefix[j]), and the denormalized prediction."""
+
+    x: np.ndarray
+    prefix: List[np.ndarray]
+    pred: np.ndarray
+
+
+def _forward_pass(
+    net: NetworkParams, norm: Normalizer, params: np.ndarray, normalized: bool
+) -> Union[ForwardPass, _ChainPass]:
     p = np.atleast_2d(_check_input(net, params))
     if p.shape[0] == 0:
         raise ValueError("empty sample set")
-    acts, out = _forward_stack(net, p if normalized else norm.normalize_in(p))
-    return ForwardPass(acts, norm.denormalize_out(out))
+    z = p if normalized else norm.normalize_in(p)
+    if net.hidden_transfer is not TransferKind.PURELIN or net.n_layers < 2:
+        acts, out = _forward_stack(net, z)
+        return ForwardPass(acts, norm.denormalize_out(out))
+    x = np.hstack([z, np.ones((z.shape[0], 1))])
+    prefix = [np.eye(x.shape[1], x.shape[1] - 1)]  # [I; 0]
+    for w, b in zip(net.weights, net.biases):
+        a = prefix[-1] @ w.T
+        a[-1] += b
+        prefix.append(a)
+    return _ChainPass(x, prefix, norm.denormalize_out(x @ prefix[-1]))
 
 
 def loss_mse(
@@ -228,6 +256,11 @@ def loss_mse(
     With `normalized`, `params` already holds `norm.normalize_in` of the
     inputs, so a training loop normalizes each set once.  The forward pass is
     appended to a `keep` list, for a `gradient` call at the same weights.
+
+    A net with purelin hidden layers (at least one of them) is evaluated on
+    its layer chain (`_ChainPass`), so no k-row array wider than the output is
+    formed; the loss equals the layer-by-layer one to rounding.  Every other
+    net runs layer by layer.
     """
     fp = _forward_pass(net, norm, params, normalized)
     if keep is not None:
@@ -242,20 +275,28 @@ def gradient(
     params: np.ndarray,
     targets: np.ndarray,
     normalized: bool = False,
-    fp: Optional[ForwardPass] = None,
+    fp: Union[ForwardPass, _ChainPass, None] = None,
 ) -> NetworkGradient:
     """Exact reverse-mode gradient of loss_mse w.r.t. every A_j and b_j.
 
     `normalized` is as in `loss_mse`.  Given `fp`, the forward pass that
     `loss_mse` kept for these weights and inputs, no forward pass is rerun.
+    The output error is carried back through the pass it comes from: layer by
+    layer, or through the layer chain for the purelin nets of `loss_mse`.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    acts, pred = fp if fp is not None else _forward_pass(net, norm, params, normalized)
-    k, m = pred.shape[0], targets.shape[1]
+    fp = fp if fp is not None else _forward_pass(net, norm, params, normalized)
+    k, m = fp.pred.shape[0], targets.shape[1]
 
     # dL/d(out) includes the denormalization scaling of each target component
-    delta = (2.0 / (k * m)) * (pred - targets) * norm.output_scale()
+    delta = (2.0 / (k * m)) * (fp.pred - targets) * norm.output_scale()
+    if isinstance(fp, _ChainPass):
+        return _chain_backward(net, fp, delta)
+    return _backward(net, fp.acts, delta)
 
+
+def _backward(net: NetworkParams, acts: List[np.ndarray], delta: np.ndarray) -> NetworkGradient:
+    """Layer-by-layer reverse pass from the error `delta` of the raw output."""
     grad_w: List[Optional[np.ndarray]] = [None] * net.n_layers
     grad_b: List[Optional[np.ndarray]] = [None] * net.n_layers
     for j in range(net.n_layers - 1, -1, -1):
@@ -263,6 +304,21 @@ def gradient(
         grad_b[j] = delta.sum(axis=0)
         if j > 0:
             delta = (delta @ net.weights[j]) * transfer_derivative(net.hidden_transfer, acts[j])
+    return NetworkGradient(grad_w, grad_b)
+
+
+def _chain_backward(net: NetworkParams, fp: _ChainPass, delta: np.ndarray) -> NetworkGradient:
+    """Reverse pass through the layer chain.  Layer j's output error is
+    delta_j; t = x' @ delta_j is carried back instead, so no k-row array
+    wider than m is formed."""
+    t = fp.x.T @ delta
+    grad_w: List[Optional[np.ndarray]] = [None] * net.n_layers
+    grad_b: List[Optional[np.ndarray]] = [None] * net.n_layers
+    for j in range(net.n_layers - 1, -1, -1):
+        grad_w[j] = t.T @ fp.prefix[j]
+        grad_b[j] = t[-1]  # the column of ones in x sums delta_j over the rows
+        if j > 0:
+            t = t @ net.weights[j]
     return NetworkGradient(grad_w, grad_b)
 
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import enum
-import functools
 import math
 from pathlib import Path
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -116,62 +115,6 @@ def _view(template: NetworkParams, vec: np.ndarray) -> NetworkParams:
         biases.append(vec[pos : pos + b.size])
         pos += b.size
     return NetworkParams(weights, biases, template.hidden_transfer)
-
-
-class _ChainPass(NamedTuple):
-    """One batch through a net of affine layers only, taken from the thin
-    side: `prefix[j]` is the (q+1) x N_j map with layer j's input = x @ prefix[j]."""
-
-    prefix: List[np.ndarray]
-    pred: np.ndarray
-
-
-def _chain_inputs(norm: Normalizer, params: np.ndarray) -> np.ndarray:
-    """[normalize_in(params), 1], the k x (q+1) input of the collapsed chain."""
-    z = norm.normalize_in(np.atleast_2d(params))
-    return np.hstack([z, np.ones((z.shape[0], 1))])
-
-
-def _chain_pass(net: NetworkParams, norm: Normalizer, x: np.ndarray) -> _ChainPass:
-    prefix = [np.eye(x.shape[1], x.shape[1] - 1)]  # [I; 0]
-    for w, b in zip(net.weights, net.biases):
-        a = prefix[-1] @ w.T
-        a[-1] += b
-        prefix.append(a)
-    return _ChainPass(prefix, norm.denormalize_out(x @ prefix[-1]))
-
-
-def _chain_loss(
-    net: NetworkParams, norm: Normalizer, x: np.ndarray, targets: np.ndarray, keep: Optional[list] = None
-) -> float:
-    """`loss_mse` of a net whose hidden layers are all purelin, on inputs from
-    `_chain_inputs`; the pass is appended to `keep` as in `loss_mse`."""
-    fp = _chain_pass(net, norm, x)
-    if keep is not None:
-        keep.append(fp)
-    diff = fp.pred - np.atleast_2d(targets)
-    return float(np.mean(diff * diff))
-
-
-def _chain_gradient(
-    net: NetworkParams, norm: Normalizer, x: np.ndarray, targets: np.ndarray, fp: Optional[_ChainPass] = None
-) -> NetworkGradient:
-    """`gradient` for the same nets and inputs as `_chain_loss`.  Layer j's
-    output error is delta_j; t = x.T @ delta_j is carried back instead, so no
-    k-row array wider than m is formed."""
-    prefix, pred = fp if fp is not None else _chain_pass(net, norm, x)
-    targets = np.atleast_2d(targets)
-    k, m = pred.shape[0], targets.shape[1]
-    delta = (2.0 / (k * m)) * (pred - targets) * norm.output_scale()
-    t = x.T @ delta
-    grad_w: List[Optional[np.ndarray]] = [None] * net.n_layers
-    grad_b: List[Optional[np.ndarray]] = [None] * net.n_layers
-    for j in range(net.n_layers - 1, -1, -1):
-        grad_w[j] = t.T @ prefix[j]
-        grad_b[j] = t[-1]  # the column of ones in x sums delta_j over the rows
-        if j > 0:
-            t = t @ net.weights[j]
-    return NetworkGradient(grad_w, grad_b)
 
 
 @dataclasses.dataclass
@@ -410,15 +353,6 @@ def train(
     arithmetic (hidden weights never move) and to rounding in floats, where
     reduction order over the shorter weight vector differs.
 
-    With purelin hidden layers (and at least one of them) the net maps the
-    normalized input z to z @ P + c, a chain of small matrices.  Each set's
-    input is extended to x = [z, 1] once, and every loss and gradient takes
-    its products from the thin side of the chain: the (q+1)-row prefix maps
-    [I; 0] @ W_1' ... W_j' with the biases in their last row, and x' @ delta
-    carried back through the layers.  No k-row array wider than the output is
-    formed.  Losses and gradients equal the full-width ones to rounding, so
-    the iterates do too.
-
     An evaluation costs its matrix products only: each set's inputs are
     normalized once per fit, losses and gradients run on views into the
     optimizer's flat weight vector, and the gradient at an accepted point
@@ -429,23 +363,16 @@ def train(
     roles = (("train", train_set), ("valid", valid_set), ("test", test_set))
     sets = {key: s for key, s in roles if s is not None}
     elm = net.hidden_transfer is TransferKind.HARDLIM and net.n_layers >= 2
-    linear = net.hidden_transfer is TransferKind.PURELIN and net.n_layers >= 2
     # `work` only lends its shapes to the views; the caller's arrays stay as they are
     work = NetworkParams([net.weights[-1]], [net.biases[-1]], TransferKind.PURELIN) if elm else net
-    if linear:
-        loss_at, grad_at = _chain_loss, _chain_gradient
-        inputs = {key: _chain_inputs(norm, s.params) for key, s in sets.items()}
-    else:
-        loss_at = functools.partial(loss_mse, normalized=True)
-        grad_at = functools.partial(gradient, normalized=True)
-        # hard-limit features are exactly 0.0 or 1.0 and feed the output layer as they are
-        inputs = {
-            key: hidden_features(net, norm, s.params) if elm else norm.normalize_in(s.params)
-            for key, s in sets.items()
-        }
+    # hard-limit features are exactly 0.0 or 1.0 and feed the output layer as they are
+    inputs = {
+        key: hidden_features(net, norm, s.params) if elm else norm.normalize_in(s.params)
+        for key, s in sets.items()
+    }
 
     def mse_at(w: np.ndarray, key: str, keep: Optional[list] = None) -> float:
-        return loss_at(_view(work, w), norm, inputs[key], sets[key].targets, keep=keep)
+        return loss_mse(_view(work, w), norm, inputs[key], sets[key].targets, normalized=True, keep=keep)
 
     # [w, forward pass] of the latest train-set loss, until the gradient at
     # that same array (told apart by identity, not by value) takes it
@@ -459,7 +386,8 @@ def train(
     def grad_fn(w: np.ndarray) -> np.ndarray:
         fp = kept.pop() if len(kept) == 2 and kept[0] is w else None
         kept.clear()
-        return pack(grad_at(_view(work, w), norm, inputs["train"], train_set.targets, fp=fp))
+        g = gradient(_view(work, w), norm, inputs["train"], train_set.targets, normalized=True, fp=fp)
+        return pack(g)
 
     state = make_state(loss_fn, grad_fn, pack(work))
     valid0 = mse_at(state.w, "valid")

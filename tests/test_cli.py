@@ -1,5 +1,6 @@
 """Command-line interface: end-to-end pipeline runs and error handling."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajsurrogate.cli import RunConfig, main
+from trajsurrogate.cli import ConfigError, RunConfig, _check_system, main
 from trajsurrogate.dataset import ON_FAILURE, load_dataset
+from trajsurrogate.dynsys import circuit_system, default_domain
 from trajsurrogate.neuralnet import TransferKind, load_model
 from trajsurrogate.training import TrainMethod
 
@@ -325,6 +327,37 @@ def test_plugin_failure_is_skipped_and_reported(tmp_path, capsys):
     # the plug-in's run_config.json, domain included, reads back unchanged
     saved = tmp_path / "skip" / "run_config.json"
     assert RunConfig.from_file(str(saved)).to_dict() == json.loads(saved.read_text())
+
+
+@pytest.mark.parametrize("on_failure", ON_FAILURE)
+def test_misshaped_plugin_is_a_config_error_before_any_solve(tmp_path, capsys, on_failure):
+    config = write_config(
+        tmp_path,
+        tmp_path / on_failure,
+        system="test_dataset:misshaped_system",
+        domain={"lower": [2e-9, 2e-9, 1e6, 1e8], "upper": [3e-9, 3e-9, 2e6, 2e8]},
+        generation={"on_failure": on_failure},
+    )
+    assert main(["generate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: ConfigError: system rhs returned float64 of shape (2,), but dim = 3 needs "
+        "real values of shape (3,)"
+    )
+    assert not list(tmp_path.glob("**/*.ds"))
+
+
+@pytest.mark.parametrize("field, bad, name", [
+    ("mass", lambda p: np.eye(2), "mass"),
+    ("initial", lambda p: np.zeros(4), "initial"),
+    ("jac", lambda t, x, p: np.zeros(3), "state_jacobian"),
+    ("qoi", lambda x: x, "qoi"),
+    ("qoi", lambda x: complex(x[1]), "qoi"),
+])
+def test_system_check_names_the_misshaped_callable(field, bad, name):
+    _check_system(circuit_system(), default_domain())
+    spec = dataclasses.replace(circuit_system(), **{field: bad})
+    with pytest.raises(ConfigError, match=f"^system {name} returned "):
+        _check_system(spec, default_domain())
 
 
 @pytest.mark.parametrize("system", ["nosuchmodule:factory", "builtins:dict", "math:pi"])

@@ -1,5 +1,6 @@
 """Sampling, target generation, and dataset persistence."""
 
+import dataclasses
 import math
 import struct
 
@@ -21,7 +22,7 @@ from trajsurrogate.dataset import (
     sample_parameters,
     save_dataset,
 )
-from trajsurrogate.dynsys import ParameterDomain, SystemSpec, default_domain
+from trajsurrogate.dynsys import ParameterDomain, SystemSpec, circuit_system, default_domain
 from trajsurrogate.integrator import IntegrationError, TimeGrid, ToleranceSettings, solve_trajectory
 
 from conftest import decay_system
@@ -82,6 +83,15 @@ def blowup_system() -> SystemSpec:
         tf=1.0,
         jac=_blowup_jac,
     )
+
+
+def _two_entries(t, x, p):
+    return np.zeros(2)
+
+
+def misshaped_system() -> SystemSpec:
+    """The circuit with an rhs that returns 2 entries for dim = 3."""
+    return dataclasses.replace(circuit_system(), rhs=_two_entries)
 
 
 def test_seed_rejects_unknown_stream():

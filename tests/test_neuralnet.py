@@ -210,6 +210,24 @@ def test_normalizer_round_trip_and_constants():
     assert norm.output_scale()[1] == 0.0
 
 
+def test_denormalize_out_gives_the_bytes_of_the_where_formula():
+    rng = np.random.default_rng(41)
+    targets = rng.uniform(-400.0, 600.0, (500, 200))
+    targets[:, 3] = 12.5  # zero range
+    targets[:, 4] = -0.0  # zero range at a -0.0 bound
+    targets[:, 5] = np.abs(targets[:, 5])
+    targets[0, 5] = -0.0  # a -0.0 lower bound under a positive span
+    norm = Normalizer.from_training(np.zeros((500, 1)), targets)
+    lo, hi = norm.out_min, norm.out_max
+    assert np.signbit(lo[[4, 5]]).all()
+    u = rng.uniform(-1.2, 1.2, (500, 200))
+    u[7, 5] = -1.0  # lands on the -0.0 bound
+    for batch in (u, u[7]):
+        span = hi - lo
+        want = np.where(span > 0.0, lo + (batch + 1.0) * span / 2.0, lo)
+        assert norm.denormalize_out(batch).tobytes() == want.tobytes()
+
+
 def test_init_is_deterministic_and_bounded():
     a = init_weights([4, 10, 3], TransferKind.PURELIN, RngSeed(5, "weights"))
     b = init_weights([4, 10, 3], TransferKind.PURELIN, RngSeed(5, "weights"))

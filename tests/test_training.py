@@ -9,9 +9,12 @@ import pytest
 from trajsurrogate.dataset import RngSeed, SampleSet
 from trajsurrogate.integrator import TimeGrid
 from trajsurrogate.neuralnet import (
+    ForwardPass,
     NetworkParams,
     Normalizer,
     TransferKind,
+    _ChainPass,
+    _forward_stack,
     forward,
     gradient,
     init_weights,
@@ -24,9 +27,6 @@ from trajsurrogate.training import (
     StopReason,
     TrainConfig,
     TrainMethod,
-    _chain_gradient,
-    _chain_inputs,
-    _chain_loss,
     _line_search,
     _view,
     early_stop_check,
@@ -426,19 +426,30 @@ def test_purelin_fit_outcomes_are_pinned(method):
     ([8], TransferKind.TANSIG, False),
 ])
 def test_train_takes_the_collapsed_chain_only_for_purelin_hidden_layers(monkeypatch, hidden, kind, collapsed):
+    import trajsurrogate.neuralnet as neuralnet
     import trajsurrogate.training as training
 
+    # every net reaches the names the benchmark's tracer wraps
     calls = []
     for name in ("loss_mse", "gradient"):
-        def spy(*args, _f=getattr(training, name), **kwargs):
-            calls.append(_f)
+        def spy(*args, _name=name, _f=getattr(training, name), **kwargs):
+            calls.append(_name)
             return _f(*args, **kwargs)
         monkeypatch.setattr(training, name, spy)
+    passes = []
+
+    def pass_spy(*args, _f=neuralnet._forward_pass):
+        fp = _f(*args)
+        passes.append(type(fp))
+        return fp
+
+    monkeypatch.setattr(neuralnet, "_forward_pass", pass_spy)
     sets = affine_sets(seed=15)
     net = init_weights([sets[0].q, *hidden, sets[0].targets.shape[1]], kind, RngSeed(16, "weights"))
     norm = Normalizer.from_training(sets[0].params, sets[0].targets)
     train(net, norm, *sets, TrainConfig(method="cg", max_epochs=3))
-    assert (not calls) is collapsed
+    assert set(calls) == {"loss_mse", "gradient"}
+    assert set(passes) == {_ChainPass if collapsed else ForwardPass}
 
 
 @pytest.mark.parametrize("sizes", [
@@ -457,14 +468,18 @@ def test_collapsed_chain_matches_full_width_loss_and_gradient(sizes):
     norm = Normalizer.from_training(params, targets)
     weights = [rng.standard_normal((n_out, n_in)) for n_in, n_out in zip(sizes, sizes[1:])]
     net = NetworkParams(weights, [rng.standard_normal(n) for n in sizes[1:]], TransferKind.PURELIN)
-    x = _chain_inputs(norm, params)
-    want = loss_mse(net, norm, params, targets)
-    assert math.isclose(_chain_loss(net, norm, x, targets), want, rel_tol=1e-12)
-    full = gradient(net, norm, params, targets)
+    # the oracle: the layer-by-layer pass, carried back layer by layer
+    z = norm.normalize_in(params)
+    acts, out = _forward_stack(net, z)
+    layered = ForwardPass(acts, norm.denormalize_out(out))
+    diff = layered.pred - targets
+    assert math.isclose(loss_mse(net, norm, params, targets), float(np.mean(diff * diff)), rel_tol=1e-12)
+    full = gradient(net, norm, z, targets, normalized=True, fp=layered)
     kept = []
-    _chain_loss(net, norm, x, targets, keep=kept)
-    fresh = _chain_gradient(net, norm, x, targets)
-    reused = _chain_gradient(net, norm, x, targets, fp=kept[0])
+    loss_mse(net, norm, z, targets, normalized=True, keep=kept)
+    assert isinstance(kept[0], _ChainPass)
+    fresh = gradient(net, norm, params, targets)
+    reused = gradient(net, norm, z, targets, normalized=True, fp=kept[0])
     for a, b, c in zip(full.weights + full.biases, fresh.weights + fresh.biases,
                        reused.weights + reused.biases):
         assert a.shape == b.shape
