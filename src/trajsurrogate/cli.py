@@ -394,6 +394,9 @@ def cmd_predict(cfg: RunConfig, params: str, compare: bool = False) -> None:
     rows = np.column_stack([grid.points, y])
     np.savetxt(out / "prediction.csv", rows, delimiter=",", header="t,y", comments="", fmt="%.17g")
     print(f"forward pass: {t_forward * 1e3:.3f} ms, wrote {out / 'prediction.csv'}")
+    if not ParameterDomain(norm.in_min, norm.in_max).contains(p):
+        print("note: --params lies outside the range of the training inputs; "
+              "the prediction extrapolates")
 
     if compare:
         t_start = time.perf_counter()

@@ -122,10 +122,6 @@ class SolutionPath:
             raise ValueError("step times must be strictly increasing")
 
 
-def _weights(x: np.ndarray, tol: ToleranceSettings) -> np.ndarray:
-    return tol.atol + tol.rtol * abs(x)
-
-
 def _initial_slope(
     spec: SystemSpec, p: np.ndarray, mass: np.ndarray, x0: np.ndarray, f0: np.ndarray, alg: np.ndarray
 ) -> np.ndarray:
@@ -171,30 +167,38 @@ def _predict(times: list, states: list, derivs: list, t_new: float, h_eff: float
 
     BDF1 until three points are known, then variable-step BDF2 with step
     ratio r = h_eff/h_prev (the fixed-coefficient formula at r = 1).  The
-    history term makes the step's derivative a0/h * x_new + hist.
+    history term makes the step's derivative a0/h * x_new + hist.  States
+    are lists of floats, and each component follows the operation order of
+    the vector formula.
     """
     x_n = states[-1]
     if len(times) < 3:
         if len(times) >= 2:
-            d1 = (states[-1] - states[-2]) / (times[-1] - times[-2])
+            h_prev = times[-1] - times[-2]
+            d1 = [(a - b) / h_prev for a, b in zip(x_n, states[-2])]
         else:
             d1 = derivs[0]
-        return 1, x_n + h_eff * d1, 1.0 / h_eff, -x_n / h_eff
+        return 1, [a + h_eff * d for a, d in zip(x_n, d1)], 1.0 / h_eff, [-a / h_eff for a in x_n]
     h_prev = times[-1] - times[-2]
+    h_prev2 = times[-2] - times[-3]
+    span2 = times[-1] - times[-3]
     r = h_eff / h_prev
     a0 = (1.0 + 2.0 * r) / (1.0 + r)
     a1 = -(1.0 + r)
     a2 = r * r / (1.0 + r)
-    hist = (a1 * x_n + a2 * states[-2]) / h_eff
-    d1 = (states[-1] - states[-2]) / h_prev
-    d2 = (d1 - (states[-2] - states[-3]) / (times[-2] - times[-3])) / (times[-1] - times[-3])
+    hist = [(a1 * a + a2 * b) / h_eff for a, b in zip(x_n, states[-2])]
     dt_new = t_new - times[-1]
-    return 2, x_n + dt_new * d1 + dt_new * (t_new - times[-2]) * d2, a0 / h_eff, hist
+    dt_dt = dt_new * (t_new - times[-2])
+    pred = []
+    for a, b, c in zip(x_n, states[-2], states[-3]):
+        d1 = (a - b) / h_prev
+        pred.append(a + dt_new * d1 + dt_dt * ((d1 - (b - c) / h_prev2) / span2))
+    return 2, pred, a0 / h_eff, hist
 
 
 def _initial_step(spec: SystemSpec, x0: np.ndarray, slope0: np.ndarray, tol: ToleranceSettings) -> float:
     span = spec.tf - spec.t0
-    w = _weights(x0, tol)
+    w = tol.atol + tol.rtol * abs(x0)
     d0 = float(np.max(np.abs(x0) / w))
     d1 = float(np.max(np.abs(slope0) / w))
     if d0 < 1e-5 or d1 < 1e-5:
@@ -205,7 +209,12 @@ def _initial_step(spec: SystemSpec, x0: np.ndarray, slope0: np.ndarray, tol: Tol
 
 
 class _Newton:
-    """Damped modified Newton for one implicit step; reuses df/dx across steps."""
+    """Damped modified Newton for one implicit step; reuses df/dx across steps.
+
+    Iterates, steps and residuals are lists of floats.  The rhs, the Jacobian,
+    the mass product and the linear solve take and give NumPy arrays, whose
+    bits (a matrix product's summation order) a Python sum would not keep.
+    """
 
     def __init__(self, spec: SystemSpec, p: np.ndarray, mass: np.ndarray, tol: ToleranceSettings):
         self.spec = spec
@@ -217,11 +226,11 @@ class _Newton:
         self.jac: Optional[np.ndarray] = None  # set by refresh before the first solve
         self.slow = False  # convergence degraded on the last attempt
 
-    def refresh(self, t: float, x: np.ndarray) -> None:
-        self.jac = self.spec.state_jacobian(t, x, self.p)
+    def refresh(self, t: float, x: list) -> None:
+        self.jac = self.spec.state_jacobian(t, np.array(x), self.p)
         self.slow = False
 
-    def solve(self, t_new: float, x_pred: np.ndarray, a0_h: float, hist: np.ndarray):
+    def solve(self, t_new: float, x_pred: list, a0_h: float, hist: list):
         """Return (x, converged, iterations)."""
         iter_matrix = a0_h * self.mass - self.jac
 
@@ -230,18 +239,18 @@ class _Newton:
         if resid is None:
             return x, False, 0
 
-        prev_norm = np.inf
+        atol, rtol = self.atol, self.rtol
+        prev_norm = math.inf
         for it in range(1, _NEWTON_MAX_ITER + 1):
             with np.errstate(invalid="ignore"):  # whatever the caller's setting
-                dx = _solve1(iter_matrix, -resid)
-            if not all(map(math.isfinite, dx.tolist())):
+                dx = _solve1(iter_matrix, -np.array(resid)).tolist()
+            if not all(map(math.isfinite, dx)):
                 return x, False, it  # singular iteration matrix or overflow
 
             # damp the update until the residual is evaluable and finite
             lam = 1.0
             for _ in range(8):
-                step = lam * dx
-                x_trial = x + step
+                x_trial = [a + lam * d for a, d in zip(x, dx)]
                 trial_resid = self._try_residual(t_new, x_trial, a0_h, hist)
                 if trial_resid is not None:
                     break
@@ -251,7 +260,7 @@ class _Newton:
             x = x_trial
             resid = trial_resid
 
-            dnorm = (abs(step) / (self.atol + self.rtol * abs(x))).max()
+            dnorm = max([abs(lam * d) / (atol + rtol * abs(a)) for d, a in zip(dx, x)])
             if dnorm < _NEWTON_KAPPA:
                 self.slow = it >= 4
                 return x, True, it
@@ -260,13 +269,15 @@ class _Newton:
             prev_norm = dnorm
         return x, False, _NEWTON_MAX_ITER
 
-    def _try_residual(self, t, x, a0_h, hist) -> Optional[np.ndarray]:
+    def _try_residual(self, t, x, a0_h, hist) -> Optional[list]:
         # hist holds (a1*x_n + a2*x_{n-1})/h so xdot = a0_h*x + hist
         try:
-            r = self.mass @ (a0_h * x + hist) - self.rhs(t, x, self.p)
+            m_xdot = self.mass @ np.array([a0_h * a + b for a, b in zip(x, hist)])
+            f = np.asarray(self.rhs(t, np.array(x), self.p))  # a plug-in may return a list
         except (DiodeOverflowError, FloatingPointError, OverflowError):
             return None
-        return r if all(map(math.isfinite, r.tolist())) else None
+        r = [a - b for a, b in zip(m_xdot.tolist(), f.tolist())]
+        return r if all(map(math.isfinite, r)) else None
 
 
 def integrate(
@@ -276,10 +287,10 @@ def integrate(
 ) -> SolutionPath:
     """Solve the IVP from spec.t0 to spec.tf with adaptive BDF(1,2)."""
     p, mass, alg, x0, slope0 = _start(spec, p, tol)
-    times, states, derivs = [spec.t0], [x0], [slope0]
+    times, states, derivs = [spec.t0], [x0.tolist()], [slope0.tolist()]
 
     newton = _Newton(spec, p, mass, tol)
-    newton.refresh(spec.t0, x0)
+    newton.refresh(spec.t0, states[0])
 
     t = spec.t0
     h = _initial_step(spec, x0, slope0, tol)
@@ -324,15 +335,15 @@ def integrate(
         if newton.slow:
             newton.refresh(t_new, x_new)
 
-        est = _ERR_CONST[order] * (x_new - x_pred)
-        scale = _weights(np.maximum(abs(x_n), abs(x_new)), tol)
-        err_norm = float((abs(est) / scale).max())
+        c = _ERR_CONST[order]
+        err_norm = max([abs(c * (a - b)) / (tol.atol + tol.rtol * max(abs(n), abs(a)))
+                        for a, b, n in zip(x_new, x_pred, x_n)])
 
         factor = min(5.0, max(0.2, 0.9 * max(err_norm, 1e-10) ** (-1.0 / (order + 1))))
         if err_norm <= 1.0:
             times.append(t_new)
             states.append(x_new)
-            derivs.append(a0_h * x_new + hist)
+            derivs.append([a0_h * a + b for a, b in zip(x_new, hist)])
             t = t_new
             h = h_eff * factor
         else:
@@ -363,7 +374,7 @@ def integrate_fixed_step(
     if abs(spec.t0 + n_steps * h - spec.tf) > 1e-9 * (spec.tf - spec.t0):
         raise ValueError("h must divide the time span")
     p, mass, alg, x0, slope0 = _start(spec, p, tol)
-    times, states, derivs = [spec.t0], [x0], [slope0]
+    times, states, derivs = [spec.t0], [x0.tolist()], [slope0.tolist()]
 
     newton = _Newton(spec, p, mass, tol)
     for k in range(1, n_steps + 1):
@@ -375,7 +386,7 @@ def integrate_fixed_step(
             raise NewtonDivergenceError(f"fixed-step Newton failed at t={t_new:.6g}")
         times.append(t_new)
         states.append(x_new)
-        derivs.append(a0_h * x_new + hist)
+        derivs.append([a0_h * a + b for a, b in zip(x_new, hist)])
 
     return SolutionPath(
         times=np.array(times), states=np.array(states), derivs=np.array(derivs), algebraic=alg

@@ -128,7 +128,6 @@ class OptState:
     grad: np.ndarray
     direction: Optional[np.ndarray] = None
     grad_prev: Optional[np.ndarray] = None
-    step_prev: Optional[np.ndarray] = None
     slope_prev: float = 0.0
     alpha_prev: float = 0.0
     lr: float = 0.0
@@ -216,7 +215,6 @@ def _descend(state: OptState, d: np.ndarray) -> None:
     else:
         alpha0 = 1.0 / max(1.0, float(np.max(np.abs(g))))
     alpha, f_new, state.w = _line_search(state.loss_fn, state.w, d, state.loss, slope, MIN_STEP, alpha0)
-    state.step_prev = alpha * d
     state.grad_prev = g
     state.direction = d
     state.slope_prev = slope
@@ -243,10 +241,10 @@ def step_cg(state: OptState) -> OptState:
 def step_oss(state: OptState) -> OptState:
     """One-step secant step: memoryless quasi-Newton from the last step."""
     g = state.grad
-    if state.step_prev is None or state.grad_prev is None:
+    if state.direction is None:
         d = -g
     else:
-        s = state.step_prev
+        s = state.alpha_prev * state.direction  # the last step
         y = g - state.grad_prev
         sy = float(s @ y)
         if abs(sy) < 1e-300:

@@ -36,6 +36,22 @@ def coupled_dae() -> SystemSpec:
     )
 
 
+def full_mass_ode() -> SystemSpec:
+    """M x' = A x + [sin 7t, 0] with a full, non-diagonal mass matrix M."""
+    mass = np.array([[2.0, 0.7], [0.3, 1.5]])
+    a = np.array([[-3.0, 1.0], [0.5, -2.0]])
+    return SystemSpec(
+        dim=2,
+        mass=lambda p: mass,
+        rhs=lambda t, x, p: a @ x + np.array([np.sin(7.0 * t), 0.0]),
+        qoi=lambda x: float(x[0]),
+        initial=lambda p: np.array([1.0, -0.5]),
+        t0=0.0,
+        tf=1.0,
+        jac=lambda t, x, p: a,
+    )
+
+
 def affine_sets(seed: int = 0, q: int = 3, m: int = 5, k: int = 30):
     """Train/validation/test sets whose targets follow one affine map."""
     rng = np.random.default_rng(seed)

@@ -126,6 +126,21 @@ def test_predict_compare_reports_speedup(pipeline, capsys):
     assert "deviation" in text
 
 
+def test_predict_notes_parameters_outside_training_range(pipeline, capsys):
+    config, out = pipeline
+    train_params = load_dataset(out / "train.ds").params
+    inside = ",".join(repr(float(v)) for v in train_params.mean(axis=0))
+    assert main(["predict", "--config", str(config), "--params", inside]) == 0
+    assert "note:" not in capsys.readouterr().out
+    outside = ",".join(repr(float(v)) for v in 2.0 * train_params.max(axis=0))
+    assert main(["predict", "--config", str(config), "--params", outside]) == 0
+    text = capsys.readouterr().out
+    assert [line for line in text.splitlines() if line.startswith("note:")] == [
+        "note: --params lies outside the range of the training inputs; the prediction extrapolates"
+    ]
+    assert len((out / "prediction.csv").read_text().splitlines()) == 21
+
+
 def test_predict_rejects_wrong_parameter_count(pipeline, capsys):
     config, _ = pipeline
     assert main(["predict", "--config", str(config), "--params", "1,2"]) == 2

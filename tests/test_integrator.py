@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import coupled_dae, decay_system
+from tests.conftest import coupled_dae, decay_system, full_mass_ode
 from trajsurrogate.dynsys import SystemSpec, circuit_system, default_domain
 from trajsurrogate.integrator import (
     GridOutsidePathError,
@@ -133,20 +133,25 @@ _RECORDED_PATHS = [
     ("circuit", 952, "4d9c5a3d00bee3c21f6261928551e40a39fe00b4f3c9632a6712e589ca760dcf"),
     ("decay", 19, "44d00ccb48f5569b108d664b5d6aea475358c565338f086104676ef9a39fac76"),
     ("coupled_dae", 19, "c056fa610ebe7816c0912ae9a23fc273d11f0b8f0ce5fa224486519fb2abb7e2"),
+    ("full_mass", 60, "2e9fa5d2d73f52e2c9c44c6876e894b735eeaef54be017f08d7dcc950cb70935"),
 ]
 
 
-def test_adaptive_path_matches_recorded_digests():
+# the path must not depend on the caller's floating-point error handling
+@pytest.mark.parametrize("errstate", [{}, {"all": "raise"}])
+def test_adaptive_path_matches_recorded_digests(errstate):
     domain = default_domain()
     rng = np.random.default_rng(47)
     # the domain midpoint, then four seeded points
     points = [domain.midpoint()] + [domain.lower + rng.random(4) * (domain.upper - domain.lower)
                                     for _ in range(4)]
-    systems = {"circuit": circuit_system(), "decay": decay_system(), "coupled_dae": coupled_dae()}
+    systems = {"circuit": circuit_system(), "decay": decay_system(), "coupled_dae": coupled_dae(),
+               "full_mass": full_mass_ode()}
     got = []
     for name, _, _ in _RECORDED_PATHS:
         p = points.pop(0) if name == "circuit" else None
-        path = integrate(systems[name], p, ToleranceSettings())
+        with np.errstate(**errstate):
+            path = integrate(systems[name], p, ToleranceSettings())
         digest = hashlib.sha256(path.times.tobytes() + path.states.tobytes() + path.derivs.tobytes())
         got.append((name, len(path.times) - 1, digest.hexdigest()))
     assert got == _RECORDED_PATHS
@@ -223,12 +228,23 @@ def test_singular_iteration_matrix_fails_quietly(errstate):
         spec.jac(0.0, x_pred, None)  # spend the start-up Jacobian
         newton.refresh(0.1, x_pred)
         assert np.linalg.matrix_rank(10.0 * mass - newton.jac) == 1
-        x, converged, iterations = newton.solve(0.1, x_pred, 10.0, -x_pred / 0.1)
-        assert (x.tolist(), converged, iterations) == (x_pred.tolist(), False, 1)
+        x, converged, iterations = newton.solve(0.1, x_pred.tolist(), 10.0, (-x_pred / 0.1).tolist())
+        assert (list(x), converged, iterations) == (x_pred.tolist(), False, 1)
         with pytest.raises(NewtonDivergenceError):
             integrate(_singular_after_start(), None, ToleranceSettings())
         with pytest.raises(NewtonDivergenceError):
             integrate_fixed_step(_singular_after_start(), None, 0.1, ToleranceSettings())
+
+
+def test_plugin_callables_may_return_lists():
+    spec = full_mass_ode()
+    listed = SystemSpec(dim=2, mass=spec.mass, qoi=spec.qoi, initial=spec.initial,
+                        t0=spec.t0, tf=spec.tf,
+                        rhs=lambda t, x, p: spec.rhs(t, x, p).tolist(),
+                        jac=lambda t, x, p: spec.jac(t, x, p).tolist())
+    for run in (integrate, lambda s, p, tol: integrate_fixed_step(s, p, 0.05, tol)):
+        a, b = run(spec, None, ToleranceSettings()), run(listed, None, ToleranceSettings())
+        assert (a.states.tobytes(), a.derivs.tobytes()) == (b.states.tobytes(), b.derivs.tobytes())
 
 
 def test_fixed_step_second_order():
