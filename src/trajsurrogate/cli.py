@@ -31,7 +31,7 @@ from .dataset import (
     sample_parameters,
     save_dataset,
 )
-from .dynsys import ParameterDomain, SystemSpec, circuit_system, default_domain
+from .dynsys import ParameterDomain, SystemSpec, as_real_array, circuit_system, default_domain
 from .evaluation import ErrorReport, error_stats, format_error_table, write_report_csv
 from .integrator import TimeGrid, ToleranceSettings, solve_trajectory
 from .neuralnet import (
@@ -238,7 +238,15 @@ def _load_sets(data_dir: Path) -> Dict[str, SampleSet]:
         if not path.exists():
             raise ConfigError(f"missing dataset file {path}; run 'generate' first")
         sets[role] = load_dataset(path)
+        if sets[role].k == 0:  # generation.on_failure 'skip' dropped every row
+            raise ConfigError(f"dataset file {path} holds no rows: every {role} row failed in 'generate'")
     return sets
+
+
+def _load_model(path: Path):
+    if not path.exists():
+        raise ConfigError(f"missing model file {path}; run 'train' first")
+    return load_model(path)
 
 
 def _check_widths(net: NetworkParams, sample_set: SampleSet) -> None:
@@ -253,22 +261,28 @@ def _check_widths(net: NetworkParams, sample_set: SampleSet) -> None:
 
 def _check_system(spec: SystemSpec, domain: ParameterDomain) -> None:
     """Evaluate the system once at the domain midpoint, so a callable whose
-    result disagrees with `dim` is a ConfigError before any solve."""
+    result disagrees with `dim` is a ConfigError before any solve.  Values
+    are real when the solver's conversion rule, `as_real_array`, takes them."""
 
     def check(name: str, value, shape: tuple) -> np.ndarray:
         value = np.asarray(value)
-        if value.shape != shape or value.dtype.kind not in "biuf":
-            raise ConfigError(
-                f"system {name} returned {value.dtype} of shape {value.shape}, but dim = "
-                f"{spec.dim} needs real values of shape {shape}"
-            )
-        return value
+        try:
+            if value.shape == shape:
+                return as_real_array(value)
+        except TypeError:
+            pass
+        raise ConfigError(
+            f"system {name} returned {value.dtype} of shape {value.shape}, but dim = "
+            f"{spec.dim} needs real values of shape {shape}"
+        )
 
+    # the plug-in's own results, so that the message names what it returned
     p, n, t0 = domain.midpoint(), spec.dim, spec.t0
     check("mass", spec.mass(p), (n, n))
-    x0 = check("initial", spec.initial(p), (n,)).astype(np.float64)
+    x0 = check("initial", spec.initial(p), (n,))
     check("rhs", spec.rhs(t0, x0, p), (n,))
-    check("state_jacobian", spec.state_jacobian(t0, x0, p), (n, n))
+    jac = spec.state_jacobian if spec.jac is None else spec.jac
+    check("state_jacobian", jac(t0, x0, p), (n, n))
     check("qoi", spec.qoi(x0), ())
 
 
@@ -353,7 +367,7 @@ def cmd_evaluate(
     cfg: RunConfig, model_path: Optional[str] = None, data_dir: Optional[str] = None
 ) -> Dict[str, ErrorReport]:
     out = _out_dir(cfg)
-    net, norm, metadata = load_model(Path(model_path) if model_path else out / "model.tjn")
+    net, norm, metadata = _load_model(Path(model_path) if model_path else out / "model.tjn")
     sets = _load_sets(Path(data_dir) if data_dir else out)
 
     label = f"{metadata.get('method', '?')}/{metadata.get('transfer', '?')}"
@@ -382,7 +396,7 @@ def _parse_list(flag: str, text: str, kind: type) -> list:
 
 def cmd_predict(cfg: RunConfig, params: str, compare: bool = False) -> None:
     out = _out_dir(cfg)
-    net, norm, _ = load_model(out / "model.tjn")
+    net, norm, _ = _load_model(out / "model.tjn")
     p = np.array(_parse_list("--params", params, float), dtype=np.float64)
 
     t_start = time.perf_counter()
@@ -411,7 +425,7 @@ def cmd_predict(cfg: RunConfig, params: str, compare: bool = False) -> None:
 
 def cmd_plot_data(cfg: RunConfig, indices: str, role: str = "test") -> None:
     out = _out_dir(cfg)
-    net, norm, _ = load_model(out / "model.tjn")
+    net, norm, _ = _load_model(out / "model.tjn")
     if role not in ROLES:
         raise ConfigError(f"role must be one of {ROLES}")
     sample_set = _load_sets(out)[role]

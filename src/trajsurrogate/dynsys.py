@@ -80,13 +80,25 @@ class CircuitConstants:
 _CIRCUIT = CircuitConstants()
 
 
+def as_real_array(value) -> np.ndarray:
+    """A plug-in result as a float64 array (a float64 array as it is).  Lists,
+    tuples and bool, integer or float arrays convert; a complex, object or
+    text result is a TypeError, never truncated to its real part."""
+    return np.asarray(value).astype(np.float64, casting="same_kind", copy=False)
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Parametric system M(p) x' = f(t, x, p) with QoI g(x) and initial map.
 
-    ``jac`` is the analytic state Jacobian df/dx; when absent, consumers fall
-    back to :func:`finite_difference_jacobian`.  ``mass`` must be constant in
-    time for a given parameter vector.
+    ``jac`` is the analytic state Jacobian df/dx; when absent,
+    :meth:`state_jacobian` falls back to :func:`finite_difference_jacobian`.
+    ``mass`` must be constant in time for a given parameter vector.
+
+    ``mass``, ``initial``, ``rhs`` and ``jac`` may return any real array-like
+    of shape (dim, dim), (dim,), (dim,) and (dim, dim); the solver converts
+    each through :func:`as_real_array`, reading ``rhs`` and ``jac`` only
+    through :meth:`f` and :meth:`state_jacobian`.
     """
 
     dim: int
@@ -98,10 +110,15 @@ class SystemSpec:
     tf: float
     jac: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None
 
+    def f(self, t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """The right-hand side f(t, x, p) as a float64 array."""
+        return as_real_array(self.rhs(t, x, p))
+
     def state_jacobian(self, t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """df/dx as a float64 array: ``jac``, or central differences of :meth:`f`."""
         if self.jac is not None:
-            return self.jac(t, x, p)
-        return finite_difference_jacobian(self.rhs, t, x, p)
+            return as_real_array(self.jac(t, x, p))
+        return finite_difference_jacobian(self.f, t, x, p)
 
 
 def diode_current(u: float) -> float:

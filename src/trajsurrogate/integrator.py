@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .dynsys import DiodeOverflowError, SystemSpec, algebraic_rows
+from .dynsys import DiodeOverflowError, SystemSpec, algebraic_rows, as_real_array
 
 # error-estimate constants: local truncation error of BDF order k is about
 # C_k times the predictor-corrector difference (fixed-step values)
@@ -131,7 +131,7 @@ def _initial_slope(
         return np.linalg.solve(mass, f0)
     jac = spec.state_jacobian(spec.t0, x0, p)
     eps = 1e-7 * max(1.0, spec.tf - spec.t0)
-    dfdt = (spec.rhs(spec.t0 + eps, x0, p) - f0) / eps
+    dfdt = (spec.f(spec.t0 + eps, x0, p) - f0) / eps
     lhs = mass.copy()
     rhs = f0.copy()
     lhs[alg] = jac[alg]
@@ -149,10 +149,10 @@ def _start(spec: SystemSpec, p: np.ndarray, tol: ToleranceSettings):
     """Return (p, mass, algebraic rows, x0, x'(t0)) after checking that x0
     satisfies the algebraic equations to within atol."""
     p = np.asarray(p, dtype=np.float64)
-    mass = np.asarray(spec.mass(p), dtype=np.float64)
-    x0 = np.asarray(spec.initial(p), dtype=np.float64)
+    mass = as_real_array(spec.mass(p))
+    x0 = as_real_array(spec.initial(p))
     alg = algebraic_rows(mass)
-    f0 = spec.rhs(spec.t0, x0, p)
+    f0 = spec.f(spec.t0, x0, p)
     if alg.size:
         resid0 = float(np.max(np.abs(f0[alg])))
         if resid0 > tol.atol:
@@ -218,7 +218,7 @@ class _Newton:
 
     def __init__(self, spec: SystemSpec, p: np.ndarray, mass: np.ndarray, tol: ToleranceSettings):
         self.spec = spec
-        self.rhs = spec.rhs
+        self.f = spec.f
         self.p = p
         self.mass = mass
         self.atol = tol.atol
@@ -273,7 +273,7 @@ class _Newton:
         # hist holds (a1*x_n + a2*x_{n-1})/h so xdot = a0_h*x + hist
         try:
             m_xdot = self.mass @ np.array([a0_h * a + b for a, b in zip(x, hist)])
-            f = np.asarray(self.rhs(t, np.array(x), self.p))  # a plug-in may return a list
+            f = self.f(t, np.array(x), self.p)
         except (DiodeOverflowError, FloatingPointError, OverflowError):
             return None
         r = [a - b for a, b in zip(m_xdot.tolist(), f.tolist())]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajsurrogate.cli import ConfigError, RunConfig, _check_system, main
-from trajsurrogate.dataset import ON_FAILURE, load_dataset
+from trajsurrogate.dataset import ON_FAILURE, ROLES, load_dataset
 from trajsurrogate.dynsys import circuit_system, default_domain
 from trajsurrogate.neuralnet import TransferKind, load_model
 from trajsurrogate.training import TrainMethod
@@ -204,6 +204,18 @@ def test_missing_dataset_is_reported(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["evaluate"], ["predict", "--params", "1,2,3,4"], ["plot-data", "--indices", "0"],
+])
+def test_missing_model_is_reported(tmp_path, capsys, argv):
+    out = tmp_path / "void"
+    config = write_config(tmp_path, out)
+    assert main([*argv, "--config", str(config)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: ConfigError: missing model file {out / 'model.tjn'}; run 'train' first"
+    )
+
+
 def test_unknown_training_key_is_rejected(tmp_path, capsys):
     out = tmp_path / "run"
     config = write_config(
@@ -344,6 +356,42 @@ def test_plugin_failure_is_skipped_and_reported(tmp_path, capsys):
     assert RunConfig.from_file(str(saved)).to_dict() == json.loads(saved.read_text())
 
 
+def test_train_refuses_a_role_that_lost_every_row(tmp_path, capsys):
+    out = tmp_path / "skip"
+    config = write_config(
+        tmp_path, out,
+        system="test_dataset:blowup_system",
+        domain={"lower": [0.1], "upper": [3.0]},
+        grid={"m": 4},
+        samples={"train": 2, "validation": 2, "test": 2},
+        seed_data=3,
+        generation={"on_failure": "skip"},
+    )
+    assert main(["generate", "--config", str(config)]) == 0
+    assert "train: k=0 written to " in capsys.readouterr().out
+    assert main(["train", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: ConfigError: dataset file {out / 'train.ds'} holds no rows: "
+        "every train row failed in 'generate'"
+    )
+    assert not (out / "model.tjn").exists()
+
+
+@pytest.mark.parametrize("listed, twin", [
+    ("listed_decay", "decay_without_jac"), ("listed_dae", "parametric_dae"),
+])
+def test_list_returning_plugin_writes_its_array_twins_bytes(tmp_path, listed, twin):
+    for system in (listed, twin):
+        config = write_config(
+            tmp_path, tmp_path / system, system=f"test_dataset:{system}",
+            domain={"lower": [0.5], "upper": [2.0]}, grid={"m": 4},
+        )
+        assert main(["generate", "--config", str(config)]) == 0
+    for role in ROLES:
+        name = f"{role}.ds"
+        assert (tmp_path / listed / name).read_bytes() == (tmp_path / twin / name).read_bytes()
+
+
 @pytest.mark.parametrize("on_failure", ON_FAILURE)
 def test_misshaped_plugin_is_a_config_error_before_any_solve(tmp_path, capsys, on_failure):
     config = write_config(
@@ -367,6 +415,9 @@ def test_misshaped_plugin_is_a_config_error_before_any_solve(tmp_path, capsys, o
     ("jac", lambda t, x, p: np.zeros(3), "state_jacobian"),
     ("qoi", lambda x: x, "qoi"),
     ("qoi", lambda x: complex(x[1]), "qoi"),
+    pytest.param("rhs", lambda t, x, p: np.zeros(3, dtype=complex), "rhs", id="rhs-complex-rhs"),
+    pytest.param("jac", lambda t, x, p: np.zeros((3, 3), dtype=complex), "state_jacobian",
+                 id="jac-complex-state_jacobian"),
 ])
 def test_system_check_names_the_misshaped_callable(field, bad, name):
     _check_system(circuit_system(), default_domain())

@@ -94,6 +94,88 @@ def misshaped_system() -> SystemSpec:
     return dataclasses.replace(circuit_system(), rhs=_two_entries)
 
 
+def decay_without_jac() -> SystemSpec:
+    """parametric_decay with a finite-difference Jacobian."""
+    return dataclasses.replace(parametric_decay(), jac=None)
+
+
+def _unit_mass_list(p):
+    return _unit_mass(p).tolist()
+
+
+def _decay_rhs_list(t, x, p):
+    return _decay_rhs(t, x, p).tolist()
+
+
+def _unit_initial_tuple(p):
+    return tuple(_unit_initial(p).tolist())
+
+
+def listed_decay() -> SystemSpec:
+    """decay_without_jac with callables that return lists and tuples."""
+    return dataclasses.replace(
+        decay_without_jac(), mass=_unit_mass_list, rhs=_decay_rhs_list, initial=_unit_initial_tuple
+    )
+
+
+def _dae_mass(p):
+    return np.diag([1.0, 0.0])
+
+
+def _dae_rhs(t, x, p):
+    return np.array([-p[0] * x[0], x[0] - x[1]])
+
+
+def _dae_jac(t, x, p):
+    return np.array([[-p[0], 0.0], [1.0, -1.0]])
+
+
+def _dae_initial(p):
+    return np.ones(2)
+
+
+def _second_component(x):
+    return float(x[1])
+
+
+def parametric_dae() -> SystemSpec:
+    """Index-1 DAE x1' = -p0*x1, 0 = x1 - x2; the QoI x2 is exp(-p0*t)."""
+    return SystemSpec(
+        dim=2,
+        mass=_dae_mass,
+        rhs=_dae_rhs,
+        qoi=_second_component,
+        initial=_dae_initial,
+        t0=0.0,
+        tf=1.0,
+        jac=_dae_jac,
+    )
+
+
+def _dae_mass_list(p):
+    return _dae_mass(p).tolist()
+
+
+def _dae_rhs_list(t, x, p):
+    return _dae_rhs(t, x, p).tolist()
+
+
+def _dae_jac_list(t, x, p):
+    return _dae_jac(t, x, p).tolist()
+
+
+def _dae_initial_tuple(p):
+    return tuple(_dae_initial(p).tolist())
+
+
+def listed_dae() -> SystemSpec:
+    """parametric_dae with callables that return lists and tuples."""
+    return dataclasses.replace(
+        parametric_dae(), mass=_dae_mass_list, rhs=_dae_rhs_list, jac=_dae_jac_list,
+        initial=_dae_initial_tuple,
+    )
+
+
 def test_seed_rejects_unknown_stream():
     with pytest.raises(ValueError):
         RngSeed(1, "gibberish")

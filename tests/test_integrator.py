@@ -1,5 +1,6 @@
 """Adaptive BDF integrator: error control, DAE handling, dense output."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -236,15 +237,36 @@ def test_singular_iteration_matrix_fails_quietly(errstate):
             integrate_fixed_step(_singular_after_start(), None, 0.1, ToleranceSettings())
 
 
+def _listed(spec: SystemSpec) -> SystemSpec:
+    """The same system with mass, initial, rhs and jac returning lists or tuples."""
+    jac = spec.jac
+    return dataclasses.replace(
+        spec,
+        mass=lambda p: spec.mass(p).tolist(),
+        initial=lambda p: tuple(spec.initial(p).tolist()),
+        rhs=lambda t, x, p: spec.rhs(t, x, p).tolist(),
+        jac=None if jac is None else lambda t, x, p: jac(t, x, p).tolist(),
+    )
+
+
 def test_plugin_callables_may_return_lists():
-    spec = full_mass_ode()
-    listed = SystemSpec(dim=2, mass=spec.mass, qoi=spec.qoi, initial=spec.initial,
-                        t0=spec.t0, tf=spec.tf,
-                        rhs=lambda t, x, p: spec.rhs(t, x, p).tolist(),
-                        jac=lambda t, x, p: spec.jac(t, x, p).tolist())
-    for run in (integrate, lambda s, p, tol: integrate_fixed_step(s, p, 0.05, tol)):
-        a, b = run(spec, None, ToleranceSettings()), run(listed, None, ToleranceSettings())
-        assert (a.states.tobytes(), a.derivs.tobytes()) == (b.states.tobytes(), b.derivs.tobytes())
+    # one loop over the cases, not a parametrization, so that the test keeps its id
+    for make, analytic in itertools.product((decay_system, coupled_dae, full_mass_ode), (True, False)):
+        spec = make() if analytic else dataclasses.replace(make(), jac=None)
+        for run in (integrate, lambda s, p, tol: integrate_fixed_step(s, p, 0.05, tol)):
+            a, b = run(spec, None, ToleranceSettings()), run(_listed(spec), None, ToleranceSettings())
+            assert (a.times.tobytes(), a.states.tobytes(), a.derivs.tobytes()) == (
+                b.times.tobytes(), b.states.tobytes(), b.derivs.tobytes()
+            ), (make.__name__, analytic)
+
+
+@pytest.mark.parametrize("field", ["rhs", "jac"])
+def test_complex_plugin_results_are_errors(field):
+    spec = coupled_dae()
+    bad = getattr(spec, field)
+    complex_spec = dataclasses.replace(spec, **{field: lambda t, x, p: bad(t, x, p).astype(complex)})
+    with pytest.raises(TypeError):
+        integrate(complex_spec, None, ToleranceSettings())
 
 
 def test_fixed_step_second_order():
