@@ -59,7 +59,7 @@ def main() -> None:
             label = f"{method}/{transfer}"
             run_dir = out / f"{transfer}-{method}"
             cfg = dataclasses.replace(base, out=str(run_dir), transfer=transfer,
-                                      training={"method": method, "max_epochs": args.max_epochs})
+                                      method=method, max_epochs=args.max_epochs)
             t0 = time.perf_counter()
             cmd_train(cfg, data_dir=str(out))
             elapsed = time.perf_counter() - t0

@@ -57,8 +57,8 @@ def _is(value, typ: type) -> bool:
 
 # rules of the last _LAYOUT column: (test of a value of the row's type, what it must be)
 _TEXT = (lambda v: True, "a string")
-_OBJECT = (lambda v: True, "a JSON object")
 _COUNT = (lambda v: v >= 1, "an integer >= 1")
+_NONNEGATIVE = (lambda v: v >= 0, "an integer >= 0")
 _POSITIVE = (lambda v: v > 0, "a positive number")
 _SEED = (lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")  # the range RngSeed takes
 _WIDTHS = (lambda v: all(_is(h, int) and h >= 1 for h in v), "a list of integers >= 1")
@@ -71,8 +71,7 @@ def _one_of(choices: list) -> tuple:
 
 # The layout of the run configuration, stated once: (JSON path, RunConfig
 # field, JSON type, rule).  run_config.json is written in this order.  The
-# domain is optional; ParameterDomain checks its two bounds together, and
-# TrainConfig checks the training block.
+# domain is optional; ParameterDomain checks its two bounds together.
 _LAYOUT = (
     ("system", "system", str, _TEXT),
     ("grid.m", "m", int, _COUNT),
@@ -85,7 +84,8 @@ _LAYOUT = (
     ("seed_weights", "seed_weights", int, _SEED),
     ("network.hidden", "hidden", list, _WIDTHS),
     ("network.transfer", "transfer", str, _one_of([k.value for k in TransferKind])),
-    ("training", "training", dict, _OBJECT),
+    ("training.method", "method", str, _one_of([k.value for k in TrainMethod])),
+    ("training.max_epochs", "max_epochs", int, _NONNEGATIVE),
     ("generation.on_failure", "on_failure", str, _one_of(list(ON_FAILURE))),
     ("generation.workers", "workers", int, _COUNT),
     ("out", "out", str, _TEXT),
@@ -132,7 +132,8 @@ class RunConfig:
     seed_weights: int = 20250819
     hidden: List[int] = dataclasses.field(default_factory=lambda: [400, 400])
     transfer: str = "tansig"
-    training: Dict = dataclasses.field(default_factory=dict)
+    method: str = TrainConfig.method.value
+    max_epochs: int = TrainConfig.max_epochs
     on_failure: str = "abort"
     workers: int = 1
     out: str = "run"
@@ -146,11 +147,6 @@ class RunConfig:
                 raise ConfigError(f"{path}: {value!r} is not {must_be}")
             if typ is float:
                 setattr(self, field, float(value))
-        _check_keys("training", self.training, [f.name for f in dataclasses.fields(TrainConfig)])
-        try:
-            self.train_config()
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"training: {exc}") from exc
         if self.lower is not None or self.upper is not None:
             try:
                 ParameterDomain(self.lower, self.upper)
@@ -219,7 +215,7 @@ class RunConfig:
         return ToleranceSettings(rtol=self.rtol, atol=self.atol)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(**self.training)
+        return TrainConfig(self.method, self.max_epochs)
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -265,7 +261,13 @@ def _check_system(spec: SystemSpec, domain: ParameterDomain) -> None:
     are real when the solver's conversion rule, `as_real_array`, takes them."""
 
     def check(name: str, value, shape: tuple) -> np.ndarray:
-        value = np.asarray(value)
+        try:
+            value = np.asarray(value)
+        except ValueError as exc:
+            raise ConfigError(
+                f"system {name} returned a ragged sequence, but dim = {spec.dim} needs real "
+                f"values of shape {shape}"
+            ) from exc
         try:
             if value.shape == shape:
                 return as_real_array(value)
@@ -489,11 +491,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    # a flag named after a RunConfig field overrides it; --method overrides the training block's
+    # a flag named after a RunConfig field overrides it
     changes = {f.name: getattr(args, f.name) for f in dataclasses.fields(cfg)
                if getattr(args, f.name, None) is not None}
-    if getattr(args, "method", None) is not None:
-        changes["training"] = {**cfg.training, "method": args.method}
     return dataclasses.replace(cfg, **changes)
 
 

@@ -127,21 +127,19 @@ def _initial_slope(
 ) -> np.ndarray:
     """Consistent x'(t0): mass rows for differential components, the
     differentiated constraint J_alg x' = -df_alg/dt for algebraic ones."""
-    if alg.size == 0:
-        return np.linalg.solve(mass, f0)
-    jac = spec.state_jacobian(spec.t0, x0, p)
-    eps = 1e-7 * max(1.0, spec.tf - spec.t0)
-    dfdt = (spec.f(spec.t0 + eps, x0, p) - f0) / eps
-    lhs = mass.copy()
-    rhs = f0.copy()
-    lhs[alg] = jac[alg]
-    rhs[alg] = -dfdt[alg]
+    lhs, rhs = mass.copy(), f0.copy()
+    if alg.size:
+        jac = spec.state_jacobian(spec.t0, x0, p)
+        eps = 1e-7 * max(1.0, spec.tf - spec.t0)
+        dfdt = (spec.f(spec.t0 + eps, x0, p) - f0) / eps
+        lhs[alg] = jac[alg]
+        rhs[alg] = -dfdt[alg]
     try:
         return np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
         raise IntegrationError(
-            "system is not semi-explicit index 1: the algebraic rows of df/dx "
-            "do not determine a consistent x'(t0)"
+            "system is not semi-explicit index 1: the mass rows and the algebraic rows "
+            "of df/dx do not determine a consistent x'(t0)"
         ) from exc
 
 
@@ -325,10 +323,6 @@ def integrate(
                         f"Newton failed after {_MAX_STEP_HALVINGS} step halvings at t={t:.6g}"
                     )
                 h = h_eff * 0.5
-                if h < _MIN_STEP:
-                    raise StepUnderflowError(
-                        f"step {h:.3e} below the step floor {_MIN_STEP:.3e} at t={t:.6g}"
-                    )
                 newton.refresh(t, x_n)
                 continue
         halvings = 0
@@ -340,18 +334,12 @@ def integrate(
                         for a, b, n in zip(x_new, x_pred, x_n)])
 
         factor = min(5.0, max(0.2, 0.9 * max(err_norm, 1e-10) ** (-1.0 / (order + 1))))
+        h = h_eff * factor
         if err_norm <= 1.0:
             times.append(t_new)
             states.append(x_new)
             derivs.append([a0_h * a + b for a, b in zip(x_new, hist)])
             t = t_new
-            h = h_eff * factor
-        else:
-            h = h_eff * factor
-            if h < _MIN_STEP:
-                raise StepUnderflowError(
-                    f"step {h:.3e} below the step floor {_MIN_STEP:.3e} at t={t:.6g}"
-                )
 
     return SolutionPath(
         times=np.array(times), states=np.array(states), derivs=np.array(derivs), algebraic=alg

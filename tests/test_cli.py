@@ -15,7 +15,7 @@ from trajsurrogate.cli import ConfigError, RunConfig, _check_system, main
 from trajsurrogate.dataset import ON_FAILURE, ROLES, load_dataset
 from trajsurrogate.dynsys import circuit_system, default_domain
 from trajsurrogate.neuralnet import TransferKind, load_model
-from trajsurrogate.training import TrainMethod
+from trajsurrogate.training import TrainConfig, TrainMethod
 
 
 def write_config(tmp_path, run_dir, **overrides):
@@ -68,6 +68,19 @@ def test_generate_is_reproducible(pipeline, tmp_path):
     assert main(["generate", "--config", str(config2)]) == 0
     for name in ("train.ds", "validation.ds", "test.ds"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_generate_csv_matches_the_datasets(tmp_path):
+    out = tmp_path / "csv"
+    config = write_config(tmp_path, out)
+    assert main(["generate", "--config", str(config), "--csv"]) == 0
+    header = ",".join([f"p{i}" for i in range(1, 5)] + [f"y{j}" for j in range(1, 21)])
+    for role in ROLES:
+        saved = load_dataset(out / f"{role}.ds")
+        path = out / f"{role}.csv"
+        assert path.read_text().splitlines()[0] == header
+        back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(back, np.hstack([saved.params, saved.targets]))
 
 
 def test_train_writes_model_and_log(pipeline):
@@ -293,6 +306,19 @@ def test_method_override_beats_config(tmp_path):
     assert meta["method"] == "gdx"
 
 
+def test_hardlim_training_notes_the_frozen_hidden_layers(pipeline, tmp_path, capsys):
+    config, out = pipeline
+    hardlim = tmp_path / "hardlim"
+    argv = ["train", "--config", str(config), "--data", str(out), "--out", str(hardlim)]
+    assert main([*argv, "--transfer", "hardlim"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "note: hard-limit hidden layers have zero derivative; hidden weights stay "
+        "at their random initialization and only the output layer is trained\n"
+    )
+    assert main([*argv, "--transfer", "purelin"]) == 0
+    assert "note:" not in capsys.readouterr().out
+
+
 def test_fit_flags_only_on_generate_and_train(tmp_path, capsys):
     config = str(write_config(tmp_path, tmp_path / "run"))
     commands = (["evaluate"], ["predict", "--params", "1,2,3,4"], ["plot-data", "--indices", "0"])
@@ -377,6 +403,30 @@ def test_train_refuses_a_role_that_lost_every_row(tmp_path, capsys):
     assert not (out / "model.tjn").exists()
 
 
+@pytest.mark.parametrize("on_failure", ON_FAILURE)
+def test_singular_mass_plugin_fails_its_rows(tmp_path, capsys, on_failure):
+    config = write_config(
+        tmp_path, tmp_path / on_failure, system="test_dataset:singular_mass_ode",
+        domain={"lower": [0.5], "upper": [2.0]}, grid={"m": 4},
+        generation={"on_failure": on_failure},
+    )
+    code = main(["generate", "--config", str(config)])
+    captured = capsys.readouterr()
+    if on_failure == "abort":
+        assert code == 2
+        assert captured.err.startswith(
+            "error: TargetGenerationError: integration failed for sample row 0: "
+            "system is not semi-explicit index 1"
+        )
+        assert not list(tmp_path.rglob("*.ds"))
+    else:
+        assert code == 0
+        for role, k in zip(ROLES, (6, 3, 3)):
+            assert load_dataset(tmp_path / "skip" / f"{role}.ds").k == 0
+            assert f"{role}: k=0 written to " in captured.out
+            assert f" s, {k} failures)" in captured.out
+
+
 @pytest.mark.parametrize("listed, twin", [
     ("listed_decay", "decay_without_jac"), ("listed_dae", "parametric_dae"),
 ])
@@ -418,6 +468,10 @@ def test_misshaped_plugin_is_a_config_error_before_any_solve(tmp_path, capsys, o
     pytest.param("rhs", lambda t, x, p: np.zeros(3, dtype=complex), "rhs", id="rhs-complex-rhs"),
     pytest.param("jac", lambda t, x, p: np.zeros((3, 3), dtype=complex), "state_jacobian",
                  id="jac-complex-state_jacobian"),
+    pytest.param("mass", lambda p: [[1, 0, 0], [0, 1], [0, 0, 0]], "mass", id="mass-ragged-mass"),
+    pytest.param("rhs", lambda t, x, p: [0.0, [0.0, 0.0], 0.0], "rhs", id="rhs-ragged-rhs"),
+    pytest.param("jac", lambda t, x, p: [[0, 0, 0], [0, 0], [0, 0, 0]], "state_jacobian",
+                 id="jac-ragged-state_jacobian"),
 ])
 def test_system_check_names_the_misshaped_callable(field, bad, name):
     _check_system(circuit_system(), default_domain())
@@ -452,9 +506,9 @@ _CIRCUIT_LOWER, _CIRCUIT_UPPER = [2e-9, 2e-9, 1e6, 1e8], [3e-9, 3e-9, 2e6, 2e8]
         ({"network": {"hidden": 5}}, "network.hidden: 5 "),
         ({"network": {"hidden": [0]}}, "network.hidden: [0] "),
         ({"network": {"transfer": "relu"}}, "network.transfer: 'relu' "),
-        ({"training": {"method": "adam"}}, "training: 'adam' "),
-        ({"training": {"max_epochs": -1}}, "training: max_epochs must be a non-negative integer, not -1"),
-        ({"training": {"max_epochs": "2"}}, "training: max_epochs must be a non-negative integer, not '2'"),
+        ({"training": {"method": "adam"}}, "training.method: 'adam' "),
+        ({"training": {"max_epochs": -1}}, "training.max_epochs: -1 "),
+        ({"training": {"max_epochs": "2"}}, "training.max_epochs: '2' "),
         ({"generation": {"workers": 0}}, "generation.workers: 0 "),
         ({"generation": {"on_failure": "retry"}}, "generation.on_failure: 'retry' "),
         ({"tolerances": {"rtol": "1e-4"}}, "tolerances.rtol: '1e-4' "),
@@ -478,6 +532,13 @@ def test_config_errors_name_the_path_before_any_solve(tmp_path, capsys, override
     assert err.startswith("error: ConfigError: ")
     assert named in err
     assert not list(tmp_path.rglob("*.ds"))
+
+
+def test_run_config_lists_the_training_defaults():
+    defaults = {"method": "cg", "max_epochs": 10000}
+    assert RunConfig().to_dict()["training"] == defaults
+    assert RunConfig.from_dict({"training": {}}).to_dict()["training"] == defaults
+    assert RunConfig(method="gdx", max_epochs=0).train_config() == TrainConfig(TrainMethod.GDX, 0)
 
 
 def test_flag_overrides_pass_the_same_checks(tmp_path, capsys):
@@ -523,7 +584,7 @@ def test_valid_configs_round_trip(doc):
     cfg = RunConfig.from_dict(doc)
     saved = json.loads(json.dumps(cfg.to_dict()))
     for section, value in doc.items():
-        if isinstance(value, dict) and section != "training":
+        if isinstance(value, dict):
             for key, entry in value.items():
                 assert saved[section][key] == entry
         else:

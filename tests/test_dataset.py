@@ -23,7 +23,13 @@ from trajsurrogate.dataset import (
     save_dataset,
 )
 from trajsurrogate.dynsys import ParameterDomain, SystemSpec, circuit_system, default_domain
-from trajsurrogate.integrator import IntegrationError, TimeGrid, ToleranceSettings, solve_trajectory
+from trajsurrogate.integrator import (
+    IntegrationError,
+    TimeGrid,
+    ToleranceSettings,
+    integrate,
+    solve_trajectory,
+)
 
 from conftest import decay_system
 
@@ -173,6 +179,24 @@ def listed_dae() -> SystemSpec:
     return dataclasses.replace(
         parametric_dae(), mass=_dae_mass_list, rhs=_dae_rhs_list, jac=_dae_jac_list,
         initial=_dae_initial_tuple,
+    )
+
+
+def _singular_mass(p):
+    return np.ones((2, 2))
+
+
+def singular_mass_ode() -> SystemSpec:
+    """x1' + x2' = -p0*x1 and x1' + x2' = -p0*x2: the mass [[1, 1], [1, 1]]
+    is singular but has no zero row, so it does not determine x'(t0)."""
+    return SystemSpec(
+        dim=2,
+        mass=_singular_mass,
+        rhs=_decay_rhs,
+        qoi=_first_component,
+        initial=_dae_initial,
+        t0=0.0,
+        tf=1.0,
     )
 
 
@@ -338,6 +362,11 @@ def test_skip_leaves_nan_rows():
     assert np.all(np.isnan(targets[[1, 3]]))
     pooled = generate_targets(spec, params, grid, tol, on_failure="skip", workers=2)
     assert np.array_equal(pooled, targets, equal_nan=True)
+
+
+def test_singular_mass_ode_is_an_integration_error():
+    with pytest.raises(IntegrationError, match="not semi-explicit index 1"):
+        integrate(singular_mass_ode(), np.array([1.0]))
 
 
 def test_generate_rejects_unknown_policy():

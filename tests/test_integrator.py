@@ -18,6 +18,7 @@ from trajsurrogate.integrator import (
     InconsistentInitialValuesError,
     IntegrationError,
     NewtonDivergenceError,
+    StepBudgetExceededError,
     TimeGrid,
     ToleranceSettings,
     _Newton,
@@ -59,6 +60,11 @@ def test_tolerance_validation():
         ToleranceSettings(rtol=-1e-4)
     with pytest.raises(ValueError):
         ToleranceSettings(max_steps=0)
+
+
+def test_step_budget_ends_the_solve():
+    with pytest.raises(StepBudgetExceededError, match="^exceeded 5 step attempts at t="):
+        integrate(decay_system(), None, ToleranceSettings(max_steps=5))
 
 
 def test_decay_against_closed_form():
