@@ -27,6 +27,15 @@ class DimensionMismatchError(ValueError):
     """State or parameter vector has the wrong length."""
 
 
+class IntegrationError(RuntimeError):
+    """Base class for integration failures; defined here so that a plug-in
+    result the solver cannot read ends the solve as one."""
+
+
+class RaggedResultError(IntegrationError):
+    """A plug-in's rhs or jac returned a ragged sequence during a solve."""
+
+
 @dataclass(frozen=True)
 class ParameterDomain:
     """Componentwise bounds of the parameter cuboid."""
@@ -98,7 +107,8 @@ class SystemSpec:
     ``mass``, ``initial``, ``rhs`` and ``jac`` may return any real array-like
     of shape (dim, dim), (dim,), (dim,) and (dim, dim); the solver converts
     each through :func:`as_real_array`, reading ``rhs`` and ``jac`` only
-    through :meth:`f` and :meth:`state_jacobian`.
+    through :meth:`f` and :meth:`state_jacobian`, where a ragged result is a
+    :class:`RaggedResultError`.
     """
 
     dim: int
@@ -112,13 +122,21 @@ class SystemSpec:
 
     def f(self, t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         """The right-hand side f(t, x, p) as a float64 array."""
-        return as_real_array(self.rhs(t, x, p))
+        value = self.rhs(t, x, p)
+        try:
+            return as_real_array(value)
+        except ValueError as exc:
+            raise RaggedResultError(f"rhs returned a ragged sequence at t={t:.6g}") from exc
 
     def state_jacobian(self, t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         """df/dx as a float64 array: ``jac``, or central differences of :meth:`f`."""
-        if self.jac is not None:
-            return as_real_array(self.jac(t, x, p))
-        return finite_difference_jacobian(self.f, t, x, p)
+        if self.jac is None:
+            return finite_difference_jacobian(self.f, t, x, p)
+        value = self.jac(t, x, p)
+        try:
+            return as_real_array(value)
+        except ValueError as exc:
+            raise RaggedResultError(f"jac returned a ragged sequence at t={t:.6g}") from exc
 
 
 def diode_current(u: float) -> float:

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .dynsys import DiodeOverflowError, SystemSpec, algebraic_rows, as_real_array
+from .dynsys import DiodeOverflowError, IntegrationError, SystemSpec, algebraic_rows, as_real_array
 
 # error-estimate constants: local truncation error of BDF order k is about
 # C_k times the predictor-corrector difference (fixed-step values)
@@ -35,10 +35,6 @@ _MIN_STEP = 1e-14  # a step below this (other than the final clamp) is an underf
 # LAPACK solve of one square system, without np.linalg.solve's per-call checks;
 # a singular matrix gives NaN (and sets the invalid flag) instead of LinAlgError
 _solve1 = _umath_linalg.solve1
-
-
-class IntegrationError(RuntimeError):
-    """Base class for integration failures."""
 
 
 class NewtonDivergenceError(IntegrationError):

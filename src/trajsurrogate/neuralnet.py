@@ -100,6 +100,22 @@ class NetworkGradient:
     biases: List[np.ndarray]
 
 
+class _Range(NamedTuple):
+    """One side of a min-max map and the arrays derived from it once."""
+
+    lo: np.ndarray
+    span: np.ndarray  # hi - lo
+    varies: np.ndarray  # span > 0
+    constant: np.ndarray  # not varies
+    safe: np.ndarray  # span where it varies, else 1: a divisor
+
+    @classmethod
+    def of(cls, lo: np.ndarray, hi: np.ndarray) -> "_Range":
+        span = hi - lo
+        varies = span > 0.0
+        return cls(lo, span, varies, ~varies, np.where(varies, span, 1.0))
+
+
 @dataclasses.dataclass(frozen=True)
 class Normalizer:
     """Componentwise min-max maps onto [-1, 1] from training-set statistics.
@@ -111,6 +127,8 @@ class Normalizer:
     in_max: np.ndarray
     out_min: np.ndarray
     out_max: np.ndarray
+    _in: _Range = dataclasses.field(init=False, repr=False, compare=False)
+    _out: _Range = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("in_min", "in_max", "out_min", "out_max"):
@@ -119,6 +137,8 @@ class Normalizer:
             raise ValueError("min/max shapes disagree")
         if np.any(self.in_max < self.in_min) or np.any(self.out_max < self.out_min):
             raise ValueError("max must not fall below min")
+        object.__setattr__(self, "_in", _Range.of(self.in_min, self.in_max))
+        object.__setattr__(self, "_out", _Range.of(self.out_min, self.out_max))
 
     @classmethod
     def from_training(cls, params: np.ndarray, targets: np.ndarray) -> "Normalizer":
@@ -133,43 +153,38 @@ class Normalizer:
         return cls(-ones, ones, -ones_m, ones_m)
 
     @staticmethod
-    def _fwd(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        span = hi - lo
-        safe = np.where(span > 0.0, span, 1.0)
-        return np.where(span > 0.0, 2.0 * (z - lo) / safe - 1.0, 0.0)
+    def _fwd(z: np.ndarray, r: _Range) -> np.ndarray:
+        return np.where(r.varies, 2.0 * (z - r.lo) / r.safe - 1.0, 0.0)
 
     @staticmethod
-    def _inv(u: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    def _inv(u: np.ndarray, r: _Range) -> np.ndarray:
         # lo + (u + 1) * span / 2 in that order, in one array; lo where the span is zero
-        span = hi - lo
         out = u + 1.0
-        out *= span
+        out *= r.span
         out /= 2.0
-        out += lo
-        np.copyto(out, lo, where=~(span > 0.0))
+        out += r.lo
+        np.copyto(out, r.lo, where=r.constant)
         return out
 
     def normalize_in(self, p: np.ndarray) -> np.ndarray:
-        return self._fwd(np.asarray(p, dtype=np.float64), self.in_min, self.in_max)
+        return self._fwd(np.asarray(p, dtype=np.float64), self._in)
 
     def normalize_out(self, y: np.ndarray) -> np.ndarray:
-        return self._fwd(np.asarray(y, dtype=np.float64), self.out_min, self.out_max)
+        return self._fwd(np.asarray(y, dtype=np.float64), self._out)
 
     def denormalize_out(self, u: np.ndarray) -> np.ndarray:
-        return self._inv(np.asarray(u, dtype=np.float64), self.out_min, self.out_max)
+        return self._inv(np.asarray(u, dtype=np.float64), self._out)
 
     def output_scale(self) -> np.ndarray:
         """d denormalize / d u per component: (max - min)/2, 0 when constant."""
-        span = self.out_max - self.out_min
-        return np.where(span > 0.0, span / 2.0, 0.0)
+        return np.where(self._out.varies, self._out.span / 2.0, 0.0)
 
 
 def _check_input(net: NetworkParams, p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
-    if p.shape[-1] != net.sizes[0]:
-        raise DimensionMismatchError(
-            f"input has {p.shape[-1]} components, network expects {net.sizes[0]}"
-        )
+    q = net.weights[0].shape[1]
+    if p.shape[-1] != q:
+        raise DimensionMismatchError(f"input has {p.shape[-1]} components, network expects {q}")
     return p
 
 
@@ -184,12 +199,24 @@ def _forward_stack(net: NetworkParams, z: np.ndarray) -> Tuple[List[np.ndarray],
     return acts, out
 
 
+def _chain_is_cheaper(sizes: Sequence[int], k: int) -> bool:
+    """Whether k rows cost fewer multiply-adds through the layer chain,
+    (q+1)(L + k m), than layer by layer, k L, where L = sum N_j N_{j+1}: the
+    matrix-chain order of the two products (Cormen et al., section 15.2)."""
+    L = sum(a * b for a, b in zip(sizes, sizes[1:]))
+    return k * L > (sizes[0] + 1) * (L + k * sizes[-1])
+
+
 def forward(net: NetworkParams, norm: Normalizer, p: np.ndarray) -> np.ndarray:
     """Surrogate evaluation: normalize, layer chain, denormalize.
 
-    Accepts a single q-vector or a batch of shape (k, q).
+    Accepts a single q-vector or a batch of shape (k, q).  A batch takes the
+    pass of `loss_mse` when the layer chain is the cheaper order, which for a
+    purelin net differs from the layer-by-layer pass by rounding only.
     """
     p = _check_input(net, p)
+    if p.ndim == 2 and _chain_is_cheaper(net.sizes, p.shape[0]):
+        return _forward_pass(net, norm, p, normalized=False).pred
     single = p.ndim == 1
     z = norm.normalize_in(np.atleast_2d(p))
     _, out = _forward_stack(net, z)

@@ -182,6 +182,29 @@ def listed_dae() -> SystemSpec:
     )
 
 
+def _identity_mass(p):
+    return np.eye(2)
+
+
+def _late_ragged_rhs(t, x, p):
+    # well-formed at the domain midpoint; ragged once x0 decays below 0.5
+    return [-p[0] * x[0], [0.0] if x[0] < 0.5 else 0.0]
+
+
+def late_ragged_rhs() -> SystemSpec:
+    """x0' = -p0*x0, x1' = 0 from x = [1, 1], without jac: the rhs turns
+    ragged partway through a solve when p0 > ln 2."""
+    return SystemSpec(
+        dim=2,
+        mass=_identity_mass,
+        rhs=_late_ragged_rhs,
+        qoi=_first_component,
+        initial=_dae_initial,
+        t0=0.0,
+        tf=1.0,
+    )
+
+
 def _singular_mass(p):
     return np.ones((2, 2))
 
@@ -362,6 +385,21 @@ def test_skip_leaves_nan_rows():
     assert np.all(np.isnan(targets[[1, 3]]))
     pooled = generate_targets(spec, params, grid, tol, on_failure="skip", workers=2)
     assert np.array_equal(pooled, targets, equal_nan=True)
+
+
+def test_rhs_that_turns_ragged_fails_only_its_row(caplog):
+    spec = late_ragged_rhs()
+    grid = TimeGrid.for_system(spec, m=5)
+    params = np.array([[0.5], [3.0]])  # x0 stays above 0.5 on row 0 only
+    targets = generate_targets(spec, params, grid, on_failure="skip")
+    assert failed_rows(targets).tolist() == [1]
+    assert np.all(np.isfinite(targets[0]))
+    assert "skipped sample row 1: rhs returned a ragged sequence" in caplog.text
+    with pytest.raises(TargetGenerationError) as err:
+        generate_targets(spec, params, grid, on_failure="abort")
+    assert err.value.row == 1
+    assert isinstance(err.value.cause, IntegrationError)
+    assert str(err.value).startswith("integration failed for sample row 1: rhs returned")
 
 
 def test_singular_mass_ode_is_an_integration_error():

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from trajsurrogate.dynsys import (
     CircuitConstants,
     DiodeOverflowError,
+    IntegrationError,
     ParameterDomain,
+    SystemSpec,
     algebraic_rows,
     circuit_system,
     default_domain,
@@ -203,3 +205,16 @@ def test_state_jacobian_falls_back_to_fd():
     )
     jac = bare.state_jacobian(0.3, np.array([0.7]), None)
     assert jac[0, 0] == pytest.approx(-2.0, rel=1e-6)
+
+
+def test_ragged_rhs_or_jac_result_is_an_integration_error():
+    ragged = SystemSpec(
+        dim=2, mass=lambda p: np.eye(2), rhs=lambda t, x, p: [0.0, [0.0]],
+        qoi=lambda x: float(x[0]), initial=lambda p: np.ones(2), t0=0.0, tf=1.0,
+        jac=lambda t, x, p: [[0.0, 0.0], [0.0]],
+    )
+    x = np.ones(2)
+    with pytest.raises(IntegrationError, match="^rhs returned a ragged sequence at t=0.25$"):
+        ragged.f(0.25, x, None)
+    with pytest.raises(IntegrationError, match="^jac returned a ragged sequence at t=0.25$"):
+        ragged.state_jacobian(0.25, x, None)

@@ -1,5 +1,7 @@
 """Transfer functions, forward pass, loss, gradients, and model persistence."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +16,7 @@ from trajsurrogate.neuralnet import (
     NetworkParams,
     Normalizer,
     TransferKind,
+    _chain_is_cheaper,
     forward,
     gradient,
     hidden_features,
@@ -87,6 +90,51 @@ def test_forward_accepts_batches():
     rows = np.stack([forward(net, norm, row) for row in batch])
     # matrix-matrix and matrix-vector BLAS reductions differ by rounding only
     assert np.max(np.abs(forward(net, norm, batch) - rows)) < 1e-12
+
+
+def _layer_by_layer(net, norm, points):
+    """The surrogate's output computed in the plain order: min-max normalize,
+    each affine layer in turn, min-max invert."""
+    span_in = norm.in_max - norm.in_min
+    safe = np.where(span_in > 0.0, span_in, 1.0)
+    act = np.where(span_in > 0.0, 2.0 * (points - norm.in_min) / safe - 1.0, 0.0)
+    for w, b in zip(net.weights, net.biases):
+        act = act @ w.T + b
+    span_out = norm.out_max - norm.out_min
+    return np.where(span_out > 0.0, norm.out_min + (act + 1.0) * span_out / 2.0, norm.out_min)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(min_value=1, max_value=30), min_size=3, max_size=5),
+    k=st.integers(min_value=0, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batched_forward_matches_the_layer_by_layer_pass(sizes, k, seed):
+    q, m = sizes[0], sizes[-1]
+    net = init_weights(sizes, TransferKind.PURELIN, RngSeed(seed, "weights"))
+    rng = np.random.default_rng(seed)
+    norm = Normalizer.from_training(
+        rng.uniform(-3.0, 5.0, (8, q)), rng.uniform(-50.0, 80.0, (8, m))
+    )
+    points = rng.uniform(-4.0, 6.0, (k, q))
+    got = forward(net, norm, points)
+    assert got.shape == (k, m)
+    if k == 0:
+        return
+    scale = float(np.max(norm.out_max - norm.out_min)) or 1.0
+    assert np.max(np.abs(got - _layer_by_layer(net, norm, points))) <= 1e-12 * scale
+    if _chain_is_cheaper(sizes, k):
+        kept = []
+        loss_mse(net, norm, points, np.zeros((k, m)), keep=kept)
+        assert got.tobytes() == kept[0].pred.tobytes()
+
+
+def test_chain_rule_boundary_on_the_reference_sizes():
+    # L = 4*400 + 400*400 + 400*200 = 241 600: 5 L < 5 (L + 1000), 6 L > 5 (L + 1200)
+    assert not _chain_is_cheaper([4, 400, 400, 200], 5)
+    assert _chain_is_cheaper([4, 400, 400, 200], 6)
+    assert not _chain_is_cheaper([4, 200], 10**6)  # a hidden-free net never gains
 
 
 def test_forward_rejects_wrong_width():
@@ -226,6 +274,70 @@ def test_denormalize_out_gives_the_bytes_of_the_where_formula():
         span = hi - lo
         want = np.where(span > 0.0, lo + (batch + 1.0) * span / 2.0, lo)
         assert norm.denormalize_out(batch).tobytes() == want.tobytes()
+
+
+def _sha(*arrays):
+    raw = b"".join(np.asarray(a, dtype=np.float64).tobytes() for a in arrays)
+    return hashlib.sha256(raw).hexdigest()
+
+
+def _pinned_normalizer():
+    rng = np.random.default_rng(29)
+    params = rng.uniform(-3.0, 5.0, (40, 4))
+    params[:, 2] = 0.75  # zero range
+    targets = rng.uniform(-200.0, 300.0, (40, 6))
+    targets[:, 1] = -0.0  # zero range at a -0.0 bound
+    targets[:, 4] = 12.5  # zero range
+    return Normalizer.from_training(params, targets)
+
+
+# Outputs whose bytes no change to the batch path or to the Normalizer may
+# move: one-row purelin calls, tansig and hard-limit batches, and the
+# min-max maps with zero-range components.  (name, sha256)
+_PINNED_BYTES = {
+    "purelin, 20 one-row calls": "584f6fd1346787b4de8275202286f05a126b64d93b5b604dd8f3f617f00efd28",
+    "tansig, 50-row batch": "e779a3eb4c8e0c53a8f4c10e5511c9bfe80aeddb760a2e217be42f1a1b77e852",
+    "hardlim, 50-row batch": "8d9418c2a461ba53b8af2b7ddd7d98651fe4e6981939aea6defbdddfefad9a13",
+    "normalize_in": "a701c8d50b0fa4572dbf9baf08131c331c8ecb7964b7075994ba9610166d8136",
+    "normalize_out": "02f4141efb0b0fec4388b8eb1817ead41e6a67d79f087ba35f433f992dd9eb8f",
+    "denormalize_out": "75b60db68dcce3b0202d33f8ec09a9a8e3e943ce70a2df27c8fd0a5f50249811",
+    "output_scale": "5ecf11c34aeea5c127819bdf4489ddbf3bee254b8954c3558e01bb171d658b45",
+}
+
+
+def test_pinned_outputs_keep_their_bytes():
+    norm = _pinned_normalizer()
+    rng = np.random.default_rng(31)
+    points = rng.uniform(-4.0, 6.0, (50, 4))
+    u = rng.uniform(-1.2, 1.2, (50, 6))
+    y = rng.uniform(-250.0, 350.0, (50, 6))
+    purelin, tansig, hardlim = (
+        init_weights((4, 30, 20, 6), kind, RngSeed(37, "weights"))
+        for kind in (TransferKind.PURELIN, TransferKind.TANSIG, TransferKind.HARDLIM)
+    )
+    got = {
+        "purelin, 20 one-row calls": _sha(*[forward(purelin, norm, row) for row in points[:20]]),
+        "tansig, 50-row batch": _sha(forward(tansig, norm, points)),
+        "hardlim, 50-row batch": _sha(forward(hardlim, norm, points)),
+        "normalize_in": _sha(norm.normalize_in(points), norm.normalize_in(points[0])),
+        "normalize_out": _sha(norm.normalize_out(y), norm.normalize_out(y[0])),
+        "denormalize_out": _sha(norm.denormalize_out(u), norm.denormalize_out(u[0])),
+        "output_scale": _sha(norm.output_scale()),
+    }
+    assert got == _PINNED_BYTES
+
+
+def test_replace_recomputes_the_derived_ranges():
+    norm = _pinned_normalizer()
+    wider = norm.out_max + np.arange(6.0)  # the zero-range components 1 and 4 gain a range
+    moved = dataclasses.replace(norm, out_max=wider)
+    fresh = Normalizer(norm.in_min, norm.in_max, norm.out_min, wider)
+    u = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 6))
+    y = fresh.denormalize_out(u)
+    assert moved.denormalize_out(u).tobytes() == y.tobytes()
+    assert moved.normalize_out(y).tobytes() == fresh.normalize_out(y).tobytes()
+    assert moved.output_scale().tobytes() == fresh.output_scale().tobytes()
+    assert norm.output_scale()[4] == 0.0 and moved.output_scale()[4] > 0.0
 
 
 def test_init_is_deterministic_and_bounded():
