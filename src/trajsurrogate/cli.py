@@ -31,7 +31,7 @@ from .dataset import (
     sample_parameters,
     save_dataset,
 )
-from .dynsys import ParameterDomain, SystemSpec, as_real_array, circuit_system, default_domain
+from .dynsys import ParameterDomain, PluginResultError, SystemSpec, circuit_system, default_domain
 from .evaluation import ErrorReport, error_stats, format_error_table, write_report_csv
 from .integrator import TimeGrid, ToleranceSettings, solve_trajectory
 from .neuralnet import (
@@ -59,10 +59,10 @@ def _is(value, typ: type) -> bool:
 _TEXT = (lambda v: True, "a string")
 _COUNT = (lambda v: v >= 1, "an integer >= 1")
 _NONNEGATIVE = (lambda v: v >= 0, "an integer >= 0")
-_POSITIVE = (lambda v: v > 0, "a positive number")
+_POSITIVE = (lambda v: 0 < v < np.inf, "a finite positive number")
 _SEED = (lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")  # the range RngSeed takes
 _WIDTHS = (lambda v: all(_is(h, int) and h >= 1 for h in v), "a list of integers >= 1")
-_BOUNDS = (lambda v: all(_is(x, float) for x in v), "a list of numbers")
+_BOUNDS = (lambda v: all(_is(x, float) and -np.inf < x < np.inf for x in v), "a list of finite numbers")
 
 
 def _one_of(choices: list) -> tuple:
@@ -256,36 +256,17 @@ def _check_widths(net: NetworkParams, sample_set: SampleSet) -> None:
 
 
 def _check_system(spec: SystemSpec, domain: ParameterDomain) -> None:
-    """Evaluate the system once at the domain midpoint, so a callable whose
-    result disagrees with `dim` is a ConfigError before any solve.  Values
-    are real when the solver's conversion rule, `as_real_array`, takes them."""
-
-    def check(name: str, value, shape: tuple) -> np.ndarray:
-        try:
-            value = np.asarray(value)
-        except ValueError as exc:
-            raise ConfigError(
-                f"system {name} returned a ragged sequence, but dim = {spec.dim} needs real "
-                f"values of shape {shape}"
-            ) from exc
-        try:
-            if value.shape == shape:
-                return as_real_array(value)
-        except TypeError:
-            pass
-        raise ConfigError(
-            f"system {name} returned {value.dtype} of shape {value.shape}, but dim = "
-            f"{spec.dim} needs real values of shape {shape}"
-        )
-
-    # the plug-in's own results, so that the message names what it returned
-    p, n, t0 = domain.midpoint(), spec.dim, spec.t0
-    check("mass", spec.mass(p), (n, n))
-    x0 = check("initial", spec.initial(p), (n,))
-    check("rhs", spec.rhs(t0, x0, p), (n,))
-    jac = spec.state_jacobian if spec.jac is None else spec.jac
-    check("state_jacobian", jac(t0, x0, p), (n, n))
-    check("qoi", spec.qoi(x0), ())
+    """Read each plug-in callable once at the domain midpoint through the solver's
+    accessors, so that a result it cannot read is a ConfigError before any solve."""
+    p, t0 = domain.midpoint(), spec.t0
+    try:
+        spec.mass_matrix(p)
+        x0 = spec.initial_state(p)
+        spec.f(t0, x0, p)
+        spec.state_jacobian(t0, x0, p)
+        spec.qoi_value(x0)
+    except PluginResultError as exc:
+        raise ConfigError(f"system {exc}") from exc
 
 
 def cmd_generate(cfg: RunConfig, csv_export: bool = False) -> None:

@@ -201,26 +201,22 @@ def save_dataset(sample_set: SampleSet, path: Union[str, Path]) -> None:
 
 def load_dataset(path: Union[str, Path]) -> SampleSet:
     """Read a container written by save_dataset, validating shape and version."""
-    reader = Reader(Path(path).read_bytes(), DatasetFormatError)
-    if reader.take(4) != _MAGIC:
-        raise DatasetFormatError(f"{path}: not a dataset file (bad magic)")
-    (version,) = reader.unpack("<H")
-    if version != _VERSION:
-        raise DatasetFormatError(f"{path}: unsupported version {version}")
-    role = reader.take_str()
-    q, m, k = reader.unpack("<IIQ")
-    t0, tf = reader.unpack("<dd")
-    (has_seed,) = reader.unpack("<B")
-    seed = None
-    if has_seed:
-        (value,) = reader.unpack("<Q")
-        stream = reader.take_str()
-        seed = RngSeed(value, stream)
-    payload = reader.take(8 * k * (q + m))
-    reader.expect_end(str(path))
-    params = np.frombuffer(payload[: 8 * k * q], dtype="<f8").reshape(k, q).copy()
-    targets = np.frombuffer(payload[8 * k * q :], dtype="<f8").reshape(k, m).copy()
-    return SampleSet(role=role, params=params, targets=targets, grid=TimeGrid(t0, tf, m), seed=seed)
+    with Reader(path, DatasetFormatError) as reader:
+        if reader.take(4) != _MAGIC:
+            raise DatasetFormatError(f"{path}: not a dataset file (bad magic)")
+        (version,) = reader.unpack("<H")
+        if version != _VERSION:
+            raise DatasetFormatError(f"{path}: unsupported version {version}")
+        role = reader.take_str()
+        q, m, k = reader.unpack("<IIQ")
+        t0, tf = reader.unpack("<dd")
+        (has_seed,) = reader.unpack("<B")
+        seed = RngSeed(reader.unpack("<Q")[0], reader.take_str()) if has_seed else None
+        payload = reader.take(8 * k * (q + m))
+        reader.expect_end()
+        params = np.frombuffer(payload[: 8 * k * q], dtype="<f8").reshape(k, q).copy()
+        targets = np.frombuffer(payload[8 * k * q :], dtype="<f8").reshape(k, m).copy()
+        return SampleSet(role=role, params=params, targets=targets, grid=TimeGrid(t0, tf, m), seed=seed)
 
 
 def export_dataset_csv(sample_set: SampleSet, path: Union[str, Path]) -> None:

@@ -17,6 +17,7 @@ import numpy as np
 # exp arguments beyond this overflow float64; a Newton iterate that lands here
 # is divergent and must be rejected, not propagated as inf
 _EXP_ARG_MAX = math.log(np.finfo(np.float64).max)
+_FLOAT64 = np.dtype(np.float64)
 
 
 class DiodeOverflowError(ArithmeticError):
@@ -32,8 +33,8 @@ class IntegrationError(RuntimeError):
     result the solver cannot read ends the solve as one."""
 
 
-class RaggedResultError(IntegrationError):
-    """A plug-in's rhs or jac returned a ragged sequence during a solve."""
+class PluginResultError(IntegrationError):
+    """A plug-in callable returned a ragged, non-real or wrong-shape result."""
 
 
 @dataclass(frozen=True)
@@ -89,13 +90,6 @@ class CircuitConstants:
 _CIRCUIT = CircuitConstants()
 
 
-def as_real_array(value) -> np.ndarray:
-    """A plug-in result as a float64 array (a float64 array as it is).  Lists,
-    tuples and bool, integer or float arrays convert; a complex, object or
-    text result is a TypeError, never truncated to its real part."""
-    return np.asarray(value).astype(np.float64, casting="same_kind", copy=False)
-
-
 @dataclass(frozen=True)
 class SystemSpec:
     """Parametric system M(p) x' = f(t, x, p) with QoI g(x) and initial map.
@@ -104,11 +98,12 @@ class SystemSpec:
     :meth:`state_jacobian` falls back to :func:`finite_difference_jacobian`.
     ``mass`` must be constant in time for a given parameter vector.
 
-    ``mass``, ``initial``, ``rhs`` and ``jac`` may return any real array-like
-    of shape (dim, dim), (dim,), (dim,) and (dim, dim); the solver converts
-    each through :func:`as_real_array`, reading ``rhs`` and ``jac`` only
-    through :meth:`f` and :meth:`state_jacobian`, where a ragged result is a
-    :class:`RaggedResultError`.
+    ``mass``, ``initial``, ``rhs``, ``jac`` and ``qoi`` may return any real
+    array-like of shape (dim, dim), (dim,), (dim,), (dim, dim) and ().  The
+    solver and the command line's midpoint check read them only through the
+    accessors below, which share one rule: a ragged, non-real or wrong-shape
+    result is a :class:`PluginResultError` naming the callable, which is a
+    ConfigError at the domain midpoint and fails one row later in a solve.
     """
 
     dim: int
@@ -120,23 +115,42 @@ class SystemSpec:
     tf: float
     jac: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None
 
-    def f(self, t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """The right-hand side f(t, x, p) as a float64 array."""
-        value = self.rhs(t, x, p)
+    def _read(self, name: str, value, shape: tuple) -> np.ndarray:
+        """A result as a float64 array of the given shape (a float64 array as
+        it is).  Lists, tuples and bool, integer or float arrays convert; a
+        complex result is refused, never truncated to its real part."""
         try:
-            return as_real_array(value)
-        except ValueError as exc:
-            raise RaggedResultError(f"rhs returned a ragged sequence at t={t:.6g}") from exc
+            arr = np.asarray(value)
+        except ValueError:
+            got = "a ragged sequence"
+        else:
+            if arr.shape == shape:
+                if arr.dtype is _FLOAT64:
+                    return arr
+                if np.can_cast(arr.dtype, _FLOAT64, "same_kind"):
+                    return arr.astype(_FLOAT64)
+            got = f"{arr.dtype} of shape {arr.shape}"
+        raise PluginResultError(
+            f"{name} returned {got}, but dim = {self.dim} needs real values of shape {shape}"
+        )
+
+    def mass_matrix(self, p: np.ndarray) -> np.ndarray:
+        return self._read("mass", self.mass(p), (self.dim, self.dim))
+
+    def initial_state(self, p: np.ndarray) -> np.ndarray:
+        return self._read("initial", self.initial(p), (self.dim,))
+
+    def f(self, t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return self._read("rhs", self.rhs(t, x, p), (self.dim,))
 
     def state_jacobian(self, t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """df/dx as a float64 array: ``jac``, or central differences of :meth:`f`."""
+        """df/dx: ``jac``, or central differences of :meth:`f`."""
         if self.jac is None:
             return finite_difference_jacobian(self.f, t, x, p)
-        value = self.jac(t, x, p)
-        try:
-            return as_real_array(value)
-        except ValueError as exc:
-            raise RaggedResultError(f"jac returned a ragged sequence at t={t:.6g}") from exc
+        return self._read("state_jacobian", self.jac(t, x, p), (self.dim, self.dim))
+
+    def qoi_value(self, x: np.ndarray) -> float:
+        return float(self._read("qoi", self.qoi(x), ()))
 
 
 def diode_current(u: float) -> float:

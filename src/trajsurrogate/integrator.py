@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .dynsys import DiodeOverflowError, IntegrationError, SystemSpec, algebraic_rows, as_real_array
+from .dynsys import DiodeOverflowError, IntegrationError, SystemSpec, algebraic_rows
 
 # error-estimate constants: local truncation error of BDF order k is about
 # C_k times the predictor-corrector difference (fixed-step values)
@@ -143,8 +143,8 @@ def _start(spec: SystemSpec, p: np.ndarray, tol: ToleranceSettings):
     """Return (p, mass, algebraic rows, x0, x'(t0)) after checking that x0
     satisfies the algebraic equations to within atol."""
     p = np.asarray(p, dtype=np.float64)
-    mass = as_real_array(spec.mass(p))
-    x0 = as_real_array(spec.initial(p))
+    mass = spec.mass_matrix(p)
+    x0 = spec.initial_state(p)
     alg = algebraic_rows(mass)
     f0 = spec.f(spec.t0, x0, p)
     if alg.size:
@@ -415,7 +415,7 @@ def resample(path: SolutionPath, spec: SystemSpec, grid: TimeGrid) -> np.ndarray
         ia = path.algebraic
         states[:, ia] = (1.0 - s) * path.states[a][:, ia] + s * path.states[b][:, ia]
     states[hit] = path.states[idx[hit]]
-    return np.fromiter((spec.qoi(x) for x in states), dtype=np.float64, count=len(states))
+    return np.fromiter((spec.qoi_value(x) for x in states), dtype=np.float64, count=len(states))
 
 
 def solve_trajectory(

@@ -413,32 +413,27 @@ def save_model(
 
 def load_model(path: Union[str, Path]) -> Tuple[NetworkParams, Normalizer, Dict]:
     """Read a container written by save_model; lossless round-trip."""
-    reader = Reader(Path(path).read_bytes(), ModelFormatError)
-    if reader.take(4) != _MAGIC:
-        raise ModelFormatError(f"{path}: not a model file (bad magic)")
-    (version,) = reader.unpack("<H")
-    if version != _VERSION:
-        raise ModelFormatError(f"{path}: unsupported version {version}")
-    kind_value = reader.take_str()
-    try:
-        kind = TransferKind(kind_value)
-    except ValueError as exc:
-        raise ModelFormatError(f"{path}: unknown transfer kind {kind_value!r}") from exc
-    (n_layers,) = reader.unpack("<H")
-    sizes = list(reader.unpack(f"<{n_layers + 1}I"))
-    q, m = sizes[0], sizes[-1]
+    with Reader(path, ModelFormatError) as reader:
+        if reader.take(4) != _MAGIC:
+            raise ModelFormatError(f"{path}: not a model file (bad magic)")
+        (version,) = reader.unpack("<H")
+        if version != _VERSION:
+            raise ModelFormatError(f"{path}: unsupported version {version}")
+        kind = TransferKind(reader.take_str())
+        (n_layers,) = reader.unpack("<H")
+        sizes = list(reader.unpack(f"<{n_layers + 1}I"))
+        q, m = sizes[0], sizes[-1]
 
-    def take_f64(n: int) -> np.ndarray:
-        return np.frombuffer(reader.take(8 * n), dtype="<f8").copy()
+        def take_f64(n: int) -> np.ndarray:
+            return np.frombuffer(reader.take(8 * n), dtype="<f8").copy()
 
-    norm = Normalizer(take_f64(q), take_f64(q), take_f64(m), take_f64(m))
-    weights = []
-    biases = []
-    for j in range(n_layers):
-        weights.append(take_f64(sizes[j + 1] * sizes[j]).reshape(sizes[j + 1], sizes[j]))
-        biases.append(take_f64(sizes[j + 1]))
-    (meta_len,) = reader.unpack("<I")
-    metadata = json.loads(reader.take(meta_len).decode("utf-8"))
-    reader.expect_end(str(path))
-    return NetworkParams(weights, biases, kind), norm, metadata
+        norm = Normalizer(take_f64(q), take_f64(q), take_f64(m), take_f64(m))
+        weights, biases = [], []
+        for j in range(n_layers):
+            weights.append(take_f64(sizes[j + 1] * sizes[j]).reshape(sizes[j + 1], sizes[j]))
+            biases.append(take_f64(sizes[j + 1]))
+        (meta_len,) = reader.unpack("<I")
+        metadata = json.loads(reader.take(meta_len).decode("utf-8"))
+        reader.expect_end()
+        return NetworkParams(weights, biases, kind), norm, metadata
 

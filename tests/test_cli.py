@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from trajsurrogate.cli import ConfigError, RunConfig, _check_system, main
 from trajsurrogate.dataset import ON_FAILURE, ROLES, load_dataset
-from trajsurrogate.dynsys import circuit_system, default_domain
+from trajsurrogate.dynsys import PluginResultError, circuit_system, default_domain
+from trajsurrogate.integrator import TimeGrid, solve_trajectory
 from trajsurrogate.neuralnet import TransferKind, load_model
 from trajsurrogate.training import TrainConfig, TrainMethod
 
@@ -480,6 +483,70 @@ def test_system_check_names_the_misshaped_callable(field, bad, name):
         _check_system(spec, default_domain())
 
 
+# the circuit's callables, the shape each must return, and its accessor at the
+# domain midpoint, where the circuit's initial state is zero
+_RESULT_SHAPES = {"mass": (3, 3), "initial": (3,), "rhs": (3,), "jac": (3, 3), "qoi": ()}
+_MIDPOINT = default_domain().midpoint()
+_READ = {
+    "mass": lambda spec: spec.mass_matrix(_MIDPOINT),
+    "initial": lambda spec: spec.initial_state(_MIDPOINT),
+    "rhs": lambda spec: spec.f(0.0, np.zeros(3), _MIDPOINT),
+    "jac": lambda spec: spec.state_jacobian(0.0, np.zeros(3), _MIDPOINT),
+    "qoi": lambda spec: spec.qoi_value(np.zeros(3)),
+}
+# values far inside the diode's overflow threshold, so that a drawn initial
+# state leaves the circuit's own rhs and jac readable
+_ELEMENTS = {
+    "real": (np.float64, st.floats(-1e3, 1e3)),
+    "bool": (np.bool_, st.booleans()),
+    "int": (np.int64, st.integers(-1000, 1000)),
+    "complex": (np.complex128, st.complex_numbers(max_magnitude=1e3)),
+    "object": (object, st.one_of(st.none(), st.floats(-1e3, 1e3), st.text(max_size=2))),
+}
+
+
+@st.composite
+def plugin_results(draw):
+    """(callable, result): a real, bool, int, complex, object, ragged or
+    wrong-shape result, as an array or as nested lists."""
+    field = draw(st.sampled_from(sorted(_RESULT_SHAPES)))
+    shape = _RESULT_SHAPES[field]
+    kind = draw(st.sampled_from(sorted(_ELEMENTS) + ["ragged", "wrong-shape"]))
+    if kind == "wrong-shape":
+        other = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+        value = draw(hnp.arrays(np.float64, other.filter(lambda s: s != shape), elements=_ELEMENTS["real"][1]))
+    elif kind == "ragged":
+        rows = draw(hnp.arrays(np.float64, shape or (2,), elements=_ELEMENTS["real"][1])).tolist()
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][:-1] if len(shape) == 2 else [rows[i], rows[i]]
+        return field, rows
+    else:
+        dtype, elements = _ELEMENTS[kind]
+        value = draw(hnp.arrays(dtype, shape, elements=elements))
+    return field, value.tolist() if draw(st.booleans()) else value
+
+
+@given(plugin_results())
+@settings(max_examples=200, deadline=None)
+def test_check_and_solver_read_plugin_results_alike(drawn):
+    field, value = drawn
+    spec = dataclasses.replace(circuit_system(), **{field: lambda *args: value})
+    try:
+        _check_system(spec, default_domain())
+    except ConfigError as exc:
+        with pytest.raises(PluginResultError) as read:
+            _READ[field](spec)
+        assert str(exc) == f"system {read.value}"
+        with pytest.raises(PluginResultError) as solve:
+            solve_trajectory(spec, _MIDPOINT, TimeGrid.for_system(spec, 5))
+        assert str(solve.value) == str(read.value)
+    else:
+        got = np.asarray(_READ[field](spec))
+        want = np.asarray(value).astype(np.float64)
+        assert got.dtype == np.float64 and got.shape == _RESULT_SHAPES[field]
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("system", ["nosuchmodule:factory", "builtins:dict", "math:pi"])
 def test_bad_plugin_is_a_config_error(tmp_path, capsys, system):
     config = write_config(tmp_path, tmp_path / "bad", system=system, domain={"lower": [0.0], "upper": [1.0]})
@@ -516,13 +583,20 @@ _CIRCUIT_LOWER, _CIRCUIT_UPPER = [2e-9, 2e-9, 1e6, 1e8], [3e-9, 3e-9, 2e6, 2e8]
         ({"system": 5}, "system: 5 "),
         ({"domain": {"lower": _CIRCUIT_UPPER, "upper": _CIRCUIT_LOWER}}, "domain: lower bound exceeds upper bound"),
         ({"domain": {"lower": [2e-9], "upper": [3e-9]}}, "domain: the circuit takes 4 parameters, not 1"),
+        ({"tolerances": {"rtol": math.inf}}, "tolerances.rtol: inf "),
+        ({"tolerances": {"atol": math.nan}}, "tolerances.atol: nan "),
+        ({"domain": {"lower": [-math.inf] + _CIRCUIT_LOWER[1:], "upper": _CIRCUIT_UPPER}},
+         "domain.lower: [-inf, "),
+        ({"domain": {"lower": _CIRCUIT_LOWER, "upper": _CIRCUIT_UPPER[:3] + [math.inf]}},
+         "domain.upper: [3e-09, 3e-09, 2000000.0, inf] is not a list of finite numbers"),
     ],
     ids=[
         "top-level", "samples.trian", "training.patience", "grid-not-object",
         "train-negative", "train-zero", "test-zero", "m-string", "m-float", "m-bool",
         "hidden-int", "hidden-zero", "transfer-relu", "method-adam", "max_epochs-negative",
         "max_epochs-string", "workers-zero", "on_failure-retry", "rtol-string", "out-int",
-        "system-int", "domain-lower-above-upper", "domain-circuit-length-1",
+        "system-int", "domain-lower-above-upper", "domain-circuit-length-1", "rtol-infinity",
+        "atol-nan", "lower-minus-infinity", "upper-infinity",
     ],
 )
 def test_config_errors_name_the_path_before_any_solve(tmp_path, capsys, overrides, named):

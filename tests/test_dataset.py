@@ -205,6 +205,16 @@ def late_ragged_rhs() -> SystemSpec:
     )
 
 
+def _late_short_rhs(t, x, p):
+    # well-formed at the domain midpoint; one entry short once x0 decays below 0.5
+    return [-p[0] * x[0]] + ([] if x[0] < 0.5 else [0.0])
+
+
+def _late_long_rhs(t, x, p):
+    # well-formed at the domain midpoint; one entry too many once x0 decays below 0.5
+    return [-p[0] * x[0], 0.0] + ([0.0] if x[0] < 0.5 else [])
+
+
 def _singular_mass(p):
     return np.ones((2, 2))
 
@@ -402,6 +412,24 @@ def test_rhs_that_turns_ragged_fails_only_its_row(caplog):
     assert str(err.value).startswith("integration failed for sample row 1: rhs returned")
 
 
+@pytest.mark.parametrize("rhs, shape", [(_late_short_rhs, "(1,)"), (_late_long_rhs, "(3,)")],
+                         ids=["short", "long"])
+def test_rhs_that_turns_short_or_long_fails_only_its_row(caplog, rhs, shape):
+    spec = dataclasses.replace(late_ragged_rhs(), rhs=rhs)
+    grid = TimeGrid.for_system(spec, m=5)
+    params = np.array([[0.5], [3.0]])  # x0 stays above 0.5 on row 0 only
+    targets = generate_targets(spec, params, grid, on_failure="skip")
+    assert failed_rows(targets).tolist() == [1]
+    assert np.all(np.isfinite(targets[0]))
+    message = f"rhs returned float64 of shape {shape}, but dim = 2 needs real values of shape (2,)"
+    assert f"skipped sample row 1: {message}" in caplog.text
+    with pytest.raises(TargetGenerationError) as err:
+        generate_targets(spec, params, grid, on_failure="abort")
+    assert err.value.row == 1
+    assert isinstance(err.value.cause, IntegrationError)
+    assert str(err.value) == f"integration failed for sample row 1: {message}"
+
+
 def test_singular_mass_ode_is_an_integration_error():
     with pytest.raises(IntegrationError, match="not semi-explicit index 1"):
         integrate(singular_mass_ode(), np.array([1.0]))
@@ -485,6 +513,24 @@ def test_load_rejects_truncation_and_trailing_bytes(tmp_path):
     path.write_bytes(raw + b"\x00\x00")
     with pytest.raises(DatasetFormatError):
         load_dataset(path)
+
+
+def test_load_rejects_fields_the_objects_refuse(tmp_path):
+    grid = TimeGrid(0.0, 1.0, 2)
+    sample_set = SampleSet("train", np.ones((1, 1)), np.ones((1, 2)), grid, RngSeed(1, "sampling"))
+    path = tmp_path / "f.ds"
+    save_dataset(sample_set, path)
+    raw = path.read_bytes()
+    # magic, version, the role "train" and the sizes take the first 29 bytes; t0 and tf follow
+    assert raw[8:13] == b"train" and raw[29:45] == struct.pack("<dd", 0.0, 1.0)
+    unknown_role = raw.replace(b"train", b"trian", 1)
+    unknown_stream = raw.replace(b"sampling", b"samplinG", 1)
+    empty_span = raw[:29] + struct.pack("<dd", 1.0, 1.0) + raw[45:]
+    for corrupt in (unknown_role, unknown_stream, empty_span):
+        path.write_bytes(corrupt)
+        with pytest.raises(DatasetFormatError) as err:
+            load_dataset(path)
+        assert str(err.value).startswith(f"{path}: ")
 
 
 def test_csv_export_header_and_values(tmp_path):

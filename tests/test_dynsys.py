@@ -214,7 +214,11 @@ def test_ragged_rhs_or_jac_result_is_an_integration_error():
         jac=lambda t, x, p: [[0.0, 0.0], [0.0]],
     )
     x = np.ones(2)
-    with pytest.raises(IntegrationError, match="^rhs returned a ragged sequence at t=0.25$"):
+    with pytest.raises(IntegrationError) as err:
         ragged.f(0.25, x, None)
-    with pytest.raises(IntegrationError, match="^jac returned a ragged sequence at t=0.25$"):
+    assert str(err.value) == "rhs returned a ragged sequence, but dim = 2 needs real values of shape (2,)"
+    with pytest.raises(IntegrationError) as err:
         ragged.state_jacobian(0.25, x, None)
+    assert str(err.value) == (
+        "state_jacobian returned a ragged sequence, but dim = 2 needs real values of shape (2, 2)"
+    )

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import coupled_dae, decay_system, full_mass_ode
-from trajsurrogate.dynsys import SystemSpec, circuit_system, default_domain
+from trajsurrogate.dynsys import PluginResultError, SystemSpec, circuit_system, default_domain
 from trajsurrogate.integrator import (
     GridOutsidePathError,
     InconsistentInitialValuesError,
@@ -271,7 +271,7 @@ def test_complex_plugin_results_are_errors(field):
     spec = coupled_dae()
     bad = getattr(spec, field)
     complex_spec = dataclasses.replace(spec, **{field: lambda t, x, p: bad(t, x, p).astype(complex)})
-    with pytest.raises(TypeError):
+    with pytest.raises(PluginResultError):
         integrate(complex_spec, None, ToleranceSettings())
 
 

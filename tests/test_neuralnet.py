@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -414,6 +415,14 @@ def test_model_load_rejects_corruption(tmp_path):
     bad.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(ModelFormatError):
         load_model(bad)
+    # magic, version and the transfer name "tansig" take the first 14 bytes
+    assert raw[8:14] == b"tansig" and raw.endswith(b"{}")
+    no_layers = raw[:14] + struct.pack("<HI", 0, 2) + bytes(8 * 8) + struct.pack("<I", 2) + b"{}"
+    for corrupt in (raw[:-2] + b"{]", raw[:8] + b"tansi\xff" + raw[14:], no_layers):
+        bad.write_bytes(corrupt)
+        with pytest.raises(ModelFormatError) as err:
+            load_model(bad)
+        assert str(err.value).startswith(f"{bad}: ")
 
 
 def test_save_rejects_non_finite_weights(tmp_path):
