@@ -51,6 +51,8 @@ class ParameterDomain:
         object.__setattr__(self, "upper", upper)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower and upper must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+            raise ValueError("lower and upper must be finite")
         if not np.all(lower <= upper):
             raise ValueError("lower bound exceeds upper bound")
 

@@ -66,8 +66,8 @@ class ToleranceSettings:
     max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("rtol and atol must be positive")
+        if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
+            raise ValueError("rtol and atol must be finite and positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 

@@ -251,9 +251,61 @@ class _ChainPass(NamedTuple):
     pred: np.ndarray
 
 
+class OutputFactors(NamedTuple):
+    """One set seen by an output layer whose input is fixed: the k-row input
+    A = [H, 1] and the normalized targets V, kept through the reduced QR
+    factors A = QR (Q itself is dropped).
+
+    With r = min(k, N+1) and D = (Q'V)', |A w_j - v_j|^2 = |R w_j - d_j|^2 +
+    rho_j for every w_j, with rho_j = |v_j - Q d_j|^2, whatever the rank of A.
+    Target columns of zero range predict their constant whatever the
+    weights, so they add a fixed term.
+    """
+
+    r: np.ndarray  # R, (r, N+1)
+    d: np.ndarray  # D, (m, r)
+    rho: np.ndarray  # (m,)
+    fixed: float  # sum over zero-range columns j of |lo_j - y_j|^2
+    k: int
+
+    @classmethod
+    def of(cls, features: np.ndarray, norm: Normalizer, targets: np.ndarray) -> "OutputFactors":
+        """Factor one set: `features` is its (k, N) output-layer input H
+        (`hidden_features`), `targets` its (k, m) targets in original units."""
+        targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+        k = features.shape[0]
+        q, r = np.linalg.qr(np.hstack([features, np.ones((k, 1))]))
+        v = norm.normalize_out(targets)
+        d = q.T @ v
+        res = v - q @ d
+        off = np.where(norm._out.constant, norm._out.lo - targets, 0.0)
+        return cls(r, d.T, np.einsum("ij,ij->j", res, res), float(np.sum(off * off)), k)
+
+
+class _FactoredPass(NamedTuple):
+    """One set through the output layer W~ = [W, b] on its OutputFactors:
+    E = W~ R' - D, an (m, r) array in normalized units."""
+
+    e: np.ndarray
+    factors: OutputFactors
+
+
+def _factored_pass(net: NetworkParams, f: OutputFactors) -> _FactoredPass:
+    w, b = net.weights[0], net.biases[0]
+    if net.n_layers != 1 or w.shape != (f.d.shape[0], f.r.shape[1] - 1):
+        raise DimensionMismatchError(
+            f"factored set needs one {f.d.shape[0]} x {f.r.shape[1] - 1} layer, net has sizes {net.sizes}"
+        )
+    e = np.hstack([w, b[:, None]]) @ f.r.T
+    e -= f.d
+    return _FactoredPass(e, f)
+
+
 def _forward_pass(
-    net: NetworkParams, norm: Normalizer, params: np.ndarray, normalized: bool
-) -> Union[ForwardPass, _ChainPass]:
+    net: NetworkParams, norm: Normalizer, params: Union[np.ndarray, OutputFactors], normalized: bool
+) -> Union[ForwardPass, _ChainPass, _FactoredPass]:
+    if isinstance(params, OutputFactors):
+        return _factored_pass(net, params)
     p = np.atleast_2d(_check_input(net, params))
     if p.shape[0] == 0:
         raise ValueError("empty sample set")
@@ -273,7 +325,7 @@ def _forward_pass(
 def loss_mse(
     net: NetworkParams,
     norm: Normalizer,
-    params: np.ndarray,
+    params: Union[np.ndarray, OutputFactors],
     targets: np.ndarray,
     normalized: bool = False,
     keep: Optional[list] = None,
@@ -288,10 +340,20 @@ def loss_mse(
     its layer chain (`_ChainPass`), so no k-row array wider than the output is
     formed; the loss equals the layer-by-layer one to rounding.  Every other
     net runs layer by layer.
+
+    `params` may instead be the `OutputFactors` of a set, built from these
+    `targets`, for `net` the output layer alone (`_FactoredPass`).  The loss
+    is then (sum_j s_j^2 (|e_j|^2 + rho_j) + the zero-range term) / (k m)
+    with s = `norm.output_scale()`, at m min(k, N+1) (N+1) multiply-adds; it
+    equals the layer-by-layer one to rounding.
     """
     fp = _forward_pass(net, norm, params, normalized)
     if keep is not None:
         keep.append(fp)
+    if isinstance(fp, _FactoredPass):
+        f = fp.factors
+        sq = np.einsum("ij,ij->i", fp.e, fp.e) + f.rho
+        return float((norm.output_scale() ** 2 @ sq + f.fixed) / (f.k * fp.e.shape[0]))
     diff = fp.pred - np.atleast_2d(targets)
     return float(np.mean(diff * diff))
 
@@ -299,20 +361,26 @@ def loss_mse(
 def gradient(
     net: NetworkParams,
     norm: Normalizer,
-    params: np.ndarray,
+    params: Union[np.ndarray, OutputFactors],
     targets: np.ndarray,
     normalized: bool = False,
-    fp: Union[ForwardPass, _ChainPass, None] = None,
+    fp: Union[ForwardPass, _ChainPass, _FactoredPass, None] = None,
 ) -> NetworkGradient:
     """Exact reverse-mode gradient of loss_mse w.r.t. every A_j and b_j.
 
-    `normalized` is as in `loss_mse`.  Given `fp`, the forward pass that
-    `loss_mse` kept for these weights and inputs, no forward pass is rerun.
-    The output error is carried back through the pass it comes from: layer by
-    layer, or through the layer chain for the purelin nets of `loss_mse`.
+    `normalized` and `OutputFactors` `params` are as in `loss_mse`.  Given
+    `fp`, the forward pass that `loss_mse` kept for these weights and inputs,
+    no forward pass is rerun.  The output error is carried back through the
+    pass it comes from: layer by layer, through the layer chain for the
+    purelin nets of `loss_mse`, or as 2 s^2 (E R) / (k m) for a factored set.
     """
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     fp = fp if fp is not None else _forward_pass(net, norm, params, normalized)
+    if isinstance(fp, _FactoredPass):
+        f = fp.factors
+        g = fp.e @ f.r
+        g *= ((2.0 / (f.k * g.shape[0])) * norm.output_scale() ** 2)[:, None]
+        return NetworkGradient([g[:, :-1]], [g[:, -1]])
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     k, m = fp.pred.shape[0], targets.shape[1]
 
     # dL/d(out) includes the denormalization scaling of each target component

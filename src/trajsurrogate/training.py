@@ -23,6 +23,7 @@ from .neuralnet import (
     NetworkGradient,
     NetworkParams,
     Normalizer,
+    OutputFactors,
     TransferKind,
     gradient,
     hidden_features,
@@ -346,15 +347,20 @@ def train(
     epoch with the lowest validation MSE (the initial weights count as epoch 0).
 
     With hard-limit hidden layers every hidden gradient is identically zero,
-    so the hidden activations are precomputed once and only the output layer
-    is optimized; the iterates match full-space optimization exactly in real
-    arithmetic (hidden weights never move) and to rounding in floats, where
-    reduction order over the shorter weight vector differs.
+    so only the output layer is optimized, a linear least-squares problem on
+    fixed features: each set's hidden activations H are computed once and
+    [H, 1] is factored once by QR (`OutputFactors`), after which a loss or
+    gradient costs m min(k, N+1) (N+1) multiply-adds, never more than the
+    k m (N+1) of a pass over the rows.  QR and not the normal equations:
+    [H, 1] is often rank-deficient (units constant over the set), and a Gram
+    form would subtract numbers the size of |v|^2, losing the accuracy of a
+    small loss.  The iterates match full-space optimization exactly in real
+    arithmetic (hidden weights never move) and to rounding in floats.
 
     An evaluation costs its matrix products only: each set's inputs are
-    normalized once per fit, losses and gradients run on views into the
-    optimizer's flat weight vector, and the gradient at an accepted point
-    reuses the forward pass of the loss evaluated at that same array.
+    normalized (or factored) once per fit, losses and gradients run on views
+    into the optimizer's flat weight vector, and the gradient at an accepted
+    point reuses the forward pass of the loss evaluated at that same array.
     """
     _check_compatible(net, train_set, valid_set, test_set)
 
@@ -363,9 +369,9 @@ def train(
     elm = net.hidden_transfer is TransferKind.HARDLIM and net.n_layers >= 2
     # `work` only lends its shapes to the views; the caller's arrays stay as they are
     work = NetworkParams([net.weights[-1]], [net.biases[-1]], TransferKind.PURELIN) if elm else net
-    # hard-limit features are exactly 0.0 or 1.0 and feed the output layer as they are
     inputs = {
-        key: hidden_features(net, norm, s.params) if elm else norm.normalize_in(s.params)
+        key: OutputFactors.of(hidden_features(net, norm, s.params), norm, s.targets)
+        if elm else norm.normalize_in(s.params)
         for key, s in sets.items()
     }
 

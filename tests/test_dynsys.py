@@ -95,6 +95,13 @@ def test_domain_rejects_inverted_bounds():
         ParameterDomain(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
 
 
+def test_domain_rejects_non_finite_bounds():
+    # without the check, sample_parameters would draw NaN rows from such a domain
+    for lower, upper in (([-math.inf], [1.0]), ([0.0], [math.nan])):
+        with pytest.raises(ValueError, match="must be finite"):
+            ParameterDomain(lower, upper)
+
+
 def test_circuit_mass_and_algebraic_rows():
     spec = circuit_system()
     p = default_domain().midpoint()

@@ -60,6 +60,10 @@ def test_tolerance_validation():
         ToleranceSettings(rtol=-1e-4)
     with pytest.raises(ValueError):
         ToleranceSettings(max_steps=0)
+    # a tolerance built in code meets the same finiteness rule as a config's
+    for bad in ({"rtol": math.inf}, {"atol": math.nan}):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ToleranceSettings(**bad)
 
 
 def test_step_budget_ends_the_solve():

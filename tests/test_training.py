@@ -7,16 +7,20 @@ import numpy as np
 import pytest
 
 from trajsurrogate.dataset import RngSeed, SampleSet
+from trajsurrogate.dynsys import DimensionMismatchError
 from trajsurrogate.integrator import TimeGrid
 from trajsurrogate.neuralnet import (
     ForwardPass,
     NetworkParams,
     Normalizer,
+    OutputFactors,
     TransferKind,
     _ChainPass,
+    _FactoredPass,
     _forward_stack,
     forward,
     gradient,
+    hidden_features,
     init_weights,
     loss_mse,
 )
@@ -329,11 +333,13 @@ def _digest(values):
     return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
 
 
-# The tansig and hard-limit entries were recorded before losses and gradients
-# ran on weight views, on pre-normalized inputs and on the kept forward pass:
-# those changes must not move a bit.  The purelin entry was recorded when
-# purelin nets moved to the collapsed layer chain, whose losses and gradients
-# equal the full-width ones only to rounding.
+# The tansig entry was recorded before losses and gradients ran on weight
+# views, on pre-normalized inputs and on the kept forward pass: those changes
+# must not move a bit.  The purelin entry was recorded when purelin nets moved
+# to the collapsed layer chain, and the hard-limit entry when hard-limit fits
+# moved to the QR factors of their fixed output-layer input (OutputFactors);
+# both passes equal the layer-by-layer losses and gradients only to rounding
+# (the hard-limit record moved by at most 5e-16 relative).
 # (epochs, stop reason, sha256 of mse_train + mse_valid + mse_test, sha256 of pack(result))
 _RECORDED_FITS = {
     ("cg", TransferKind.PURELIN): (
@@ -348,8 +354,8 @@ _RECORDED_FITS = {
     ),
     ("gdx", TransferKind.HARDLIM): (
         40, StopReason.MAX_EPOCHS,
-        "2836e192544c40e1337890d83b785fb88b9489a4af016c419f0abd522dbc0fcb",
-        "f4afd6356f5279cd55c4bd04862ca22c64191af9471575c09d39d368efcc08f0",
+        "8094e476b6b8be62465f9cd8637dc94f5e893c645875713ed16d8d7ac3543842",
+        "0ce183f297bd038fb4c8487a9f7679b3c798699d2555a0311df7758f60458cc6",
     ),
 }
 
@@ -418,14 +424,14 @@ def test_purelin_fit_outcomes_are_pinned(method):
     assert outcomes == [(n, StopReason.MIN_GRADIENT, n) for n in _PURELIN_OUTCOMES[method]]
 
 
-@pytest.mark.parametrize("hidden, kind, collapsed", [
-    ([8], TransferKind.PURELIN, True),
-    ([8, 6], TransferKind.PURELIN, True),
-    ([], TransferKind.PURELIN, False),
-    ([8], TransferKind.HARDLIM, False),
-    ([8], TransferKind.TANSIG, False),
+@pytest.mark.parametrize("hidden, kind, pass_type", [
+    ([8], TransferKind.PURELIN, _ChainPass),
+    ([8, 6], TransferKind.PURELIN, _ChainPass),
+    ([], TransferKind.PURELIN, ForwardPass),
+    ([8], TransferKind.HARDLIM, _FactoredPass),
+    ([8], TransferKind.TANSIG, ForwardPass),
 ])
-def test_train_takes_the_collapsed_chain_only_for_purelin_hidden_layers(monkeypatch, hidden, kind, collapsed):
+def test_train_takes_the_collapsed_chain_only_for_purelin_hidden_layers(monkeypatch, hidden, kind, pass_type):
     import trajsurrogate.neuralnet as neuralnet
     import trajsurrogate.training as training
 
@@ -449,7 +455,7 @@ def test_train_takes_the_collapsed_chain_only_for_purelin_hidden_layers(monkeypa
     norm = Normalizer.from_training(sets[0].params, sets[0].targets)
     train(net, norm, *sets, TrainConfig(method="cg", max_epochs=3))
     assert set(calls) == {"loss_mse", "gradient"}
-    assert set(passes) == {_ChainPass if collapsed else ForwardPass}
+    assert set(passes) == {pass_type}
 
 
 @pytest.mark.parametrize("sizes", [
@@ -488,6 +494,71 @@ def test_collapsed_chain_matches_full_width_loss_and_gradient(sizes):
     # the zero-range target column gets no gradient on either path
     for g in (full, fresh):
         assert not g.weights[-1][2].any() and g.biases[-1][2] == 0.0
+
+
+@pytest.mark.parametrize("k, n, case", [
+    (40, 8, "more rows than N+1"),
+    (6, 12, "fewer rows than N+1"),
+    (40, 8, "constant and duplicated units"),
+    (40, 8, "zero-range column off its constant"),
+])
+def test_factored_output_layer_matches_layer_by_layer(k, n, case):
+    rng = np.random.default_rng(k * 100 + n + len(case))
+    q, m = 3, 5
+    net = init_weights([q, n, m], TransferKind.HARDLIM, RngSeed(1, "weights"))
+    if case == "constant and duplicated units":
+        net.weights[0][0], net.biases[0][0] = 0.0, 1.0  # on for every row
+        net.weights[0][4], net.biases[0][4] = net.weights[0][3], net.biases[0][3]
+    params = rng.uniform(-2.0, 3.0, (k, q))
+    targets = rng.standard_normal((k, m)) * rng.uniform(0.5, 50.0, m)
+    targets[:, 2] = -1.5  # a target column with zero range
+    norm = Normalizer.from_training(params, targets)
+    if case == "zero-range column off its constant":
+        # a validation or test set: fresh rows, and the constant column moves
+        params = rng.uniform(-2.0, 3.0, (k, q))
+        targets = rng.standard_normal((k, m)) * rng.uniform(0.5, 50.0, m)
+    feats = hidden_features(net, norm, params)
+    a = np.hstack([feats, np.ones((k, 1))])
+    assert (np.linalg.matrix_rank(a) < min(k, n + 1)) == (case == "constant and duplicated units")
+    output = NetworkParams([net.weights[1]], [net.biases[1]], TransferKind.PURELIN)
+    factors = OutputFactors.of(feats, norm, targets)
+    assert factors.r.shape == (min(k, n + 1), n + 1)
+    with pytest.raises(DimensionMismatchError):  # the factors feed the output layer only
+        loss_mse(net, norm, factors, targets)
+
+    # the oracle: the whole hard-limit net, layer by layer, on the raw inputs
+    kept = []
+    loss = loss_mse(output, norm, factors, targets, keep=kept)
+    assert isinstance(kept[0], _FactoredPass)
+    assert math.isclose(loss, loss_mse(net, norm, params, targets), rel_tol=1e-12)
+    full = gradient(net, norm, params, targets)
+    assert not full.weights[0].any() and not full.biases[0].any()
+    for g in (gradient(output, norm, factors, targets, fp=kept[0]), gradient(output, norm, factors, targets)):
+        for got, want in ((g.weights[0], full.weights[1]), (g.biases[0], full.biases[1])):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    # the least-squares floor on [H, 1], per target column, in raw units
+    s2 = norm.output_scale() ** 2
+    v = norm.normalize_out(targets)
+    w_star = np.linalg.lstsq(a, v, rcond=None)[0]
+    floor = float(s2 @ np.sum((a @ w_star - v) ** 2, axis=0)) / (k * m)
+    rho = float(s2 @ factors.rho) / (k * m)
+    if case == "fewer rows than N+1":
+        assert max(floor, rho) < 1e-24 * loss  # an exact fit exists
+    elif case == "constant and duplicated units":
+        # Q spans more than the range of [H, 1]: rho is the residual of a wider fit
+        assert rho <= floor * (1 + 1e-10)
+    else:
+        assert math.isclose(rho, floor, rel_tol=1e-10)
+    best = NetworkParams([w_star[:-1].T], [w_star[-1]], TransferKind.PURELIN)
+    at_floor = loss_mse(best, norm, factors, targets)
+    assert math.isclose(at_floor, floor + factors.fixed / (k * m), rel_tol=1e-10, abs_tol=1e-24 * loss)
+    assert (factors.fixed > 0.0) == (case == "zero-range column off its constant")
+
+    # an exact fit has a small loss that rounding cannot take below zero
+    exact = forward(net, norm, params)
+    fit = loss_mse(output, norm, OutputFactors.of(feats, norm, exact), exact)
+    assert 0.0 <= fit < 1e-24 * float(np.mean(exact * exact))
 
 
 @pytest.mark.parametrize("kind", list(TransferKind))
