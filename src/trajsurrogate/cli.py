@@ -41,6 +41,7 @@ from .neuralnet import (
     forward,
     init_weights,
     load_model,
+    loss_mse,
     save_model,
 )
 from .training import TrainConfig, TrainMethod, train, write_training_log
@@ -320,10 +321,7 @@ def cmd_train(cfg: RunConfig, data_dir: Optional[str] = None) -> None:
     model, record = train(net, norm, train_set, sets["validation"], sets["test"], tcfg)
     elapsed = time.perf_counter() - t_start
 
-    final = {
-        role: float(np.mean((forward(model, norm, s.params) - s.targets) ** 2))
-        for role, s in sets.items()
-    }
+    final = {role: loss_mse(model, norm, s.params, s.targets) for role, s in sets.items()}
     metadata = {
         "method": tcfg.method.value,
         "transfer": kind.value,

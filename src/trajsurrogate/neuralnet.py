@@ -132,7 +132,10 @@ class Normalizer:
 
     def __post_init__(self):
         for name in ("in_min", "in_max", "out_min", "out_max"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64).ravel())
+            bound = np.asarray(getattr(self, name), dtype=np.float64).ravel()
+            if not np.all(np.isfinite(bound)):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, bound)
         if self.in_min.shape != self.in_max.shape or self.out_min.shape != self.out_max.shape:
             raise ValueError("min/max shapes disagree")
         if np.any(self.in_max < self.in_min) or np.any(self.out_max < self.out_min):
@@ -210,18 +213,11 @@ def _chain_is_cheaper(sizes: Sequence[int], k: int) -> bool:
 def forward(net: NetworkParams, norm: Normalizer, p: np.ndarray) -> np.ndarray:
     """Surrogate evaluation: normalize, layer chain, denormalize.
 
-    Accepts a single q-vector or a batch of shape (k, q).  A batch takes the
-    pass of `loss_mse` when the layer chain is the cheaper order, which for a
-    purelin net differs from the layer-by-layer pass by rounding only.
+    Accepts a single q-vector or a batch of shape (k, q), and runs the pass
+    that `loss_mse` runs on the same rows (`_forward_pass`).
     """
-    p = _check_input(net, p)
-    if p.ndim == 2 and _chain_is_cheaper(net.sizes, p.shape[0]):
-        return _forward_pass(net, norm, p, normalized=False).pred
-    single = p.ndim == 1
-    z = norm.normalize_in(np.atleast_2d(p))
-    _, out = _forward_stack(net, z)
-    y = norm.denormalize_out(out)
-    return y[0] if single else y
+    y = _forward_pass(net, norm, p).pred
+    return y[0] if np.ndim(p) == 1 else y
 
 
 def hidden_features(net: NetworkParams, norm: Normalizer, p: np.ndarray) -> np.ndarray:
@@ -302,15 +298,18 @@ def _factored_pass(net: NetworkParams, f: OutputFactors) -> _FactoredPass:
 
 
 def _forward_pass(
-    net: NetworkParams, norm: Normalizer, params: Union[np.ndarray, OutputFactors], normalized: bool
+    net: NetworkParams, norm: Normalizer, params: Union[np.ndarray, OutputFactors]
 ) -> Union[ForwardPass, _ChainPass, _FactoredPass]:
+    """The one choice of pass, for `forward`, `loss_mse` and `gradient` alike:
+    the factored output layer for `OutputFactors`; for k rows into a purelin
+    net, the layer chain exactly when `_chain_is_cheaper` (never without a
+    hidden layer); every other case layer by layer.  The passes differ by
+    rounding only."""
     if isinstance(params, OutputFactors):
         return _factored_pass(net, params)
     p = np.atleast_2d(_check_input(net, params))
-    if p.shape[0] == 0:
-        raise ValueError("empty sample set")
-    z = p if normalized else norm.normalize_in(p)
-    if net.hidden_transfer is not TransferKind.PURELIN or net.n_layers < 2:
+    z = norm.normalize_in(p)
+    if net.hidden_transfer is not TransferKind.PURELIN or not _chain_is_cheaper(net.sizes, p.shape[0]):
         acts, out = _forward_stack(net, z)
         return ForwardPass(acts, norm.denormalize_out(out))
     x = np.hstack([z, np.ones((z.shape[0], 1))])
@@ -327,19 +326,13 @@ def loss_mse(
     norm: Normalizer,
     params: Union[np.ndarray, OutputFactors],
     targets: np.ndarray,
-    normalized: bool = False,
     keep: Optional[list] = None,
 ) -> float:
     """Mean over all k*m entries of squared error, in original target units.
 
-    With `normalized`, `params` already holds `norm.normalize_in` of the
-    inputs, so a training loop normalizes each set once.  The forward pass is
-    appended to a `keep` list, for a `gradient` call at the same weights.
-
-    A net with purelin hidden layers (at least one of them) is evaluated on
-    its layer chain (`_ChainPass`), so no k-row array wider than the output is
-    formed; the loss equals the layer-by-layer one to rounding.  Every other
-    net runs layer by layer.
+    The forward pass (`_forward_pass`, the one `forward` runs on these rows)
+    is appended to a `keep` list, for a `gradient` call at the same weights.
+    On a purelin layer chain no k-row array wider than the output is formed.
 
     `params` may instead be the `OutputFactors` of a set, built from these
     `targets`, for `net` the output layer alone (`_FactoredPass`).  The loss
@@ -347,13 +340,15 @@ def loss_mse(
     with s = `norm.output_scale()`, at m min(k, N+1) (N+1) multiply-adds; it
     equals the layer-by-layer one to rounding.
     """
-    fp = _forward_pass(net, norm, params, normalized)
+    fp = _forward_pass(net, norm, params)
     if keep is not None:
         keep.append(fp)
     if isinstance(fp, _FactoredPass):
         f = fp.factors
         sq = np.einsum("ij,ij->i", fp.e, fp.e) + f.rho
         return float((norm.output_scale() ** 2 @ sq + f.fixed) / (f.k * fp.e.shape[0]))
+    if fp.pred.shape[0] == 0:
+        raise ValueError("empty sample set")
     diff = fp.pred - np.atleast_2d(targets)
     return float(np.mean(diff * diff))
 
@@ -363,18 +358,17 @@ def gradient(
     norm: Normalizer,
     params: Union[np.ndarray, OutputFactors],
     targets: np.ndarray,
-    normalized: bool = False,
     fp: Union[ForwardPass, _ChainPass, _FactoredPass, None] = None,
 ) -> NetworkGradient:
     """Exact reverse-mode gradient of loss_mse w.r.t. every A_j and b_j.
 
-    `normalized` and `OutputFactors` `params` are as in `loss_mse`.  Given
-    `fp`, the forward pass that `loss_mse` kept for these weights and inputs,
-    no forward pass is rerun.  The output error is carried back through the
-    pass it comes from: layer by layer, through the layer chain for the
-    purelin nets of `loss_mse`, or as 2 s^2 (E R) / (k m) for a factored set.
+    `params` are as in `loss_mse`.  Given `fp`, the forward pass that
+    `loss_mse` kept for these weights and inputs, no forward pass is rerun.
+    The output error is carried back through the pass it comes from: layer by
+    layer, through the layer chain, or as 2 s^2 (E R) / (k m) for a factored
+    set.
     """
-    fp = fp if fp is not None else _forward_pass(net, norm, params, normalized)
+    fp = fp if fp is not None else _forward_pass(net, norm, params)
     if isinstance(fp, _FactoredPass):
         f = fp.factors
         g = fp.e @ f.r
@@ -382,6 +376,8 @@ def gradient(
         return NetworkGradient([g[:, :-1]], [g[:, -1]])
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     k, m = fp.pred.shape[0], targets.shape[1]
+    if k == 0:
+        raise ValueError("empty sample set")
 
     # dL/d(out) includes the denormalization scaling of each target component
     delta = (2.0 / (k * m)) * (fp.pred - targets) * norm.output_scale()

@@ -73,8 +73,7 @@ class TrainConfig:
     max_epochs: int = 10000
 
     def __post_init__(self):
-        if isinstance(self.method, str):
-            self.method = TrainMethod(self.method)
+        self.method = TrainMethod(self.method)
         # max_epochs = 0 is the documented zero-budget case
         epochs = self.max_epochs
         if not isinstance(epochs, int) or isinstance(epochs, bool) or epochs < 0:
@@ -357,10 +356,10 @@ def train(
     small loss.  The iterates match full-space optimization exactly in real
     arithmetic (hidden weights never move) and to rounding in floats.
 
-    An evaluation costs its matrix products only: each set's inputs are
-    normalized (or factored) once per fit, losses and gradients run on views
-    into the optimizer's flat weight vector, and the gradient at an accepted
-    point reuses the forward pass of the loss evaluated at that same array.
+    Every other net is evaluated on the raw inputs, through the pass that
+    `forward` takes on the same rows.  Losses and gradients run on views into
+    the optimizer's flat weight vector, and the gradient at an accepted point
+    reuses the forward pass of the loss evaluated at that same array.
     """
     _check_compatible(net, train_set, valid_set, test_set)
 
@@ -371,12 +370,12 @@ def train(
     work = NetworkParams([net.weights[-1]], [net.biases[-1]], TransferKind.PURELIN) if elm else net
     inputs = {
         key: OutputFactors.of(hidden_features(net, norm, s.params), norm, s.targets)
-        if elm else norm.normalize_in(s.params)
+        if elm else s.params
         for key, s in sets.items()
     }
 
     def mse_at(w: np.ndarray, key: str, keep: Optional[list] = None) -> float:
-        return loss_mse(_view(work, w), norm, inputs[key], sets[key].targets, normalized=True, keep=keep)
+        return loss_mse(_view(work, w), norm, inputs[key], sets[key].targets, keep=keep)
 
     # [w, forward pass] of the latest train-set loss, until the gradient at
     # that same array (told apart by identity, not by value) takes it
@@ -390,7 +389,7 @@ def train(
     def grad_fn(w: np.ndarray) -> np.ndarray:
         fp = kept.pop() if len(kept) == 2 and kept[0] is w else None
         kept.clear()
-        g = gradient(_view(work, w), norm, inputs["train"], train_set.targets, normalized=True, fp=fp)
+        g = gradient(_view(work, w), norm, inputs["train"], train_set.targets, fp=fp)
         return pack(g)
 
     state = make_state(loss_fn, grad_fn, pack(work))
@@ -433,13 +432,11 @@ def train(
 
     record = TrainRecord(mse_train, mse_valid, mse_test, stop, best_epoch)
     best = _view(work, best_w)
-    if elm:
-        result = net.copy()
-        result.weights[-1][:] = best.weights[0]
-        result.biases[-1][:] = best.biases[0]
-    else:
-        result = best.copy()
-    return result, record
+    frozen = net.n_layers - work.n_layers  # the hidden layers of a hard-limit net
+    result = NetworkParams(
+        net.weights[:frozen] + best.weights, net.biases[:frozen] + best.biases, net.hidden_transfer
+    )
+    return result.copy(), record
 
 
 def write_training_log(record: TrainRecord, path: Union[str, Path]) -> None:

@@ -95,25 +95,29 @@ def test_forward_accepts_batches():
 
 def _layer_by_layer(net, norm, points):
     """The surrogate's output computed in the plain order: min-max normalize,
-    each affine layer in turn, min-max invert."""
+    each affine layer in turn (the hidden ones through their transfer),
+    min-max invert."""
     span_in = norm.in_max - norm.in_min
     safe = np.where(span_in > 0.0, span_in, 1.0)
     act = np.where(span_in > 0.0, 2.0 * (points - norm.in_min) / safe - 1.0, 0.0)
-    for w, b in zip(net.weights, net.biases):
+    for j, (w, b) in enumerate(zip(net.weights, net.biases)):
         act = act @ w.T + b
+        if j < net.n_layers - 1:
+            act = transfer(net.hidden_transfer, act)
     span_out = norm.out_max - norm.out_min
     return np.where(span_out > 0.0, norm.out_min + (act + 1.0) * span_out / 2.0, norm.out_min)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
+    kind=st.sampled_from(list(TransferKind)),
     sizes=st.lists(st.integers(min_value=1, max_value=30), min_size=3, max_size=5),
     k=st.integers(min_value=0, max_value=40),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_batched_forward_matches_the_layer_by_layer_pass(sizes, k, seed):
+def test_batched_forward_matches_the_layer_by_layer_pass(kind, sizes, k, seed):
     q, m = sizes[0], sizes[-1]
-    net = init_weights(sizes, TransferKind.PURELIN, RngSeed(seed, "weights"))
+    net = init_weights(sizes, kind, RngSeed(seed, "weights"))
     rng = np.random.default_rng(seed)
     norm = Normalizer.from_training(
         rng.uniform(-3.0, 5.0, (8, q)), rng.uniform(-50.0, 80.0, (8, m))
@@ -125,10 +129,10 @@ def test_batched_forward_matches_the_layer_by_layer_pass(sizes, k, seed):
         return
     scale = float(np.max(norm.out_max - norm.out_min)) or 1.0
     assert np.max(np.abs(got - _layer_by_layer(net, norm, points))) <= 1e-12 * scale
-    if _chain_is_cheaper(sizes, k):
-        kept = []
-        loss_mse(net, norm, points, np.zeros((k, m)), keep=kept)
-        assert got.tobytes() == kept[0].pred.tobytes()
+    # forward and loss_mse run one pass on the same rows, whichever it is
+    kept = []
+    loss_mse(net, norm, points, np.zeros((k, m)), keep=kept)
+    assert got.tobytes() == kept[0].pred.tobytes()
 
 
 def test_chain_rule_boundary_on_the_reference_sizes():
@@ -175,9 +179,10 @@ def test_loss_matches_double_loop():
 
 
 def test_loss_rejects_empty_set():
-    net = small_net(TransferKind.TANSIG)
-    with pytest.raises(ValueError):
-        loss_mse(net, Normalizer.identity(2, 2), np.empty((0, 2)), np.empty((0, 2)))
+    for kind in TransferKind:
+        for evaluate in (loss_mse, gradient):
+            with pytest.raises(ValueError):
+                evaluate(small_net(kind), Normalizer.identity(2, 2), np.empty((0, 2)), np.empty((0, 2)))
 
 
 def _fd_gradient(net, norm, params, targets, eps=1e-6):
@@ -257,6 +262,16 @@ def test_normalizer_round_trip_and_constants():
     # constant target component always denormalizes to the stored constant
     assert np.array_equal(norm.denormalize_out(np.array([0.7, 0.7]))[1], 2.0)
     assert norm.output_scale()[1] == 0.0
+
+
+def test_normalizer_refuses_non_finite_bounds():
+    # a NaN range would fail `span > 0` and pass as a constant component
+    good = {"in_min": [0.0, 0.0], "in_max": [1.0, 1.0], "out_min": [0.0, 0.0], "out_max": [1.0, 1.0]}
+    for field in good:
+        for bad in (np.nan, np.inf, -np.inf):
+            bounds = dict(good, **{field: [0.5, bad] if field.endswith("max") else [bad, 0.5]})
+            with pytest.raises(ValueError, match=field):
+                Normalizer(**bounds)
 
 
 def test_denormalize_out_gives_the_bytes_of_the_where_formula():
@@ -418,7 +433,10 @@ def test_model_load_rejects_corruption(tmp_path):
     # magic, version and the transfer name "tansig" take the first 14 bytes
     assert raw[8:14] == b"tansig" and raw.endswith(b"{}")
     no_layers = raw[:14] + struct.pack("<HI", 0, 2) + bytes(8 * 8) + struct.pack("<I", 2) + b"{}"
-    for corrupt in (raw[:-2] + b"{]", raw[:8] + b"tansi\xff" + raw[14:], no_layers):
+    # the layer count and three widths follow; then in_min = [-1, -1], whose second entry turns NaN
+    assert raw[28:44] == np.array([-1.0, -1.0], "<f8").tobytes()
+    nan_range = raw[:36] + np.array([np.nan], "<f8").tobytes() + raw[44:]
+    for corrupt in (raw[:-2] + b"{]", raw[:8] + b"tansi\xff" + raw[14:], no_layers, nan_range):
         bad.write_bytes(corrupt)
         with pytest.raises(ModelFormatError) as err:
             load_model(bad)
