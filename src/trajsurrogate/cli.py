@@ -289,9 +289,7 @@ def cmd_generate(cfg: RunConfig, csv_export: bool = False) -> None:
         )
         elapsed = time.perf_counter() - t_start
         bad = failed_rows(targets)
-        if bad.size:
-            keep = np.setdiff1d(np.arange(len(params)), bad)
-            params, targets = params[keep], targets[keep]
+        params, targets = np.delete(params, bad, axis=0), np.delete(targets, bad, axis=0)
         sample_set = SampleSet(role, params, targets, grid, seed)
         path = _dataset_paths(out)[role]
         save_dataset(sample_set, path)
@@ -426,8 +424,15 @@ def cmd_plot_data(cfg: RunConfig, indices: str, role: str = "test") -> None:
         print(f"wrote {path}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parse failure is a ConfigError, reported like any other by `main`."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trajsurrogate",
         description="Train and evaluate neural-network surrogates of "
         "parameter-to-trajectory maps defined by DAE/ODE initial value problems.",
@@ -441,10 +446,10 @@ def _build_parser() -> argparse.ArgumentParser:
     fit = argparse.ArgumentParser(add_help=False, parents=[common])
     fit.add_argument("--seed-data", type=int, help="sampling seed (overrides config)")
     fit.add_argument("--seed-weights", type=int, help="weight-init seed (overrides config)")
-    fit.add_argument("--method", choices=[m.value for m in TrainMethod],
-                     help="training method (overrides config)")
-    fit.add_argument("--transfer", choices=[k.value for k in TransferKind],
-                     help="hidden transfer function (overrides config)")
+    fit.add_argument("--method",
+                     help=f"training method, one of {[m.value for m in TrainMethod]} (overrides config)")
+    fit.add_argument("--transfer",
+                     help=f"hidden transfer, one of {[k.value for k in TransferKind]} (overrides config)")
 
     sp = sub.add_parser("generate", parents=[fit], help="sample parameters and solve target trajectories")
     sp.add_argument("--csv", action="store_true", help="also export datasets as CSV")
@@ -477,8 +482,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _config_from_args(args)
         if args.command == "generate":
             cmd_generate(cfg, csv_export=args.csv)

@@ -92,7 +92,7 @@ class SampleSet:
             raise ValueError(
                 f"params has {self.params.shape[0]} rows but targets has {self.targets.shape[0]}"
             )
-        if self.targets.shape[0] and self.targets.shape[1] != self.grid.m:
+        if self.targets.shape[1] != self.grid.m:
             raise ValueError(f"targets have {self.targets.shape[1]} columns, grid expects {self.grid.m}")
 
     @property
@@ -181,7 +181,7 @@ def failed_rows(targets: np.ndarray) -> np.ndarray:
 def save_dataset(sample_set: SampleSet, path: Union[str, Path]) -> None:
     """Write the binary container; lossless round-trip with load_dataset."""
     k, q = sample_set.params.shape
-    m = sample_set.targets.shape[1] if k else sample_set.grid.m
+    m = sample_set.grid.m
     parts = [
         _MAGIC,
         struct.pack("<H", _VERSION),
@@ -221,8 +221,7 @@ def load_dataset(path: Union[str, Path]) -> SampleSet:
 
 def export_dataset_csv(sample_set: SampleSet, path: Union[str, Path]) -> None:
     """Human-readable export with header p1,...,pq,y1,...,ym."""
-    k, q = sample_set.params.shape
-    m = sample_set.targets.shape[1]
+    q, m = sample_set.q, sample_set.grid.m
     header = ",".join([f"p{i + 1}" for i in range(q)] + [f"y{j + 1}" for j in range(m)])
-    table = np.hstack([sample_set.params, sample_set.targets]) if k else np.empty((0, q + m))
+    table = np.hstack([sample_set.params, sample_set.targets])
     np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%.17g")

@@ -14,14 +14,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# exp arguments beyond this overflow float64; a Newton iterate that lands here
-# is divergent and must be rejected, not propagated as inf
-_EXP_ARG_MAX = math.log(np.finfo(np.float64).max)
 _FLOAT64 = np.dtype(np.float64)
 
-
-class DiodeOverflowError(ArithmeticError):
-    """Diode exponent exceeds the float64 overflow threshold."""
+# fixed constants of the circuit model: diode law coefficients and drive shape
+GAMMA = 4.067e-8
+DELTA = 5.634e-2
+AMPLITUDE = 500.0  # volts (node-voltage units)
+PERIOD = 0.1  # seconds
 
 
 class DimensionMismatchError(ValueError):
@@ -74,22 +73,6 @@ def default_domain() -> ParameterDomain:
         lower=np.array([2e-9, 2e-9, 1e6, 1e8]),
         upper=np.array([3e-9, 3e-9, 2e6, 2e8]),
     )
-
-
-@dataclass(frozen=True)
-class CircuitConstants:
-    """Diode law coefficients and drive-voltage shape of the circuit model.
-
-    The values are fixed: the circuit functions read the one instance below.
-    """
-
-    gamma: float = 4.067e-8
-    delta: float = 5.634e-2
-    amplitude: float = 500.0  # volts (node-voltage units)
-    period: float = 0.1  # seconds
-
-
-_CIRCUIT = CircuitConstants()
 
 
 @dataclass(frozen=True)
@@ -156,24 +139,22 @@ class SystemSpec:
 
 
 def diode_current(u: float) -> float:
-    """Diode current gamma*(exp(delta*u) - 1); strictly increasing in u."""
-    arg = _CIRCUIT.delta * u
-    if arg > _EXP_ARG_MAX:
-        raise DiodeOverflowError(f"diode exponent {arg:.3g} overflows float64")
-    return _CIRCUIT.gamma * (math.exp(arg) - 1.0)
+    """Diode current gamma*(exp(delta*u) - 1); strictly increasing in u.
+
+    An exponent past float64's range raises ``math.exp``'s OverflowError."""
+    return GAMMA * (math.exp(DELTA * u) - 1.0)
 
 
 def diode_conductance(u: float) -> float:
-    """Derivative of the diode law: gamma*delta*exp(delta*u)."""
-    arg = _CIRCUIT.delta * u
-    if arg > _EXP_ARG_MAX:
-        raise DiodeOverflowError(f"diode exponent {arg:.3g} overflows float64")
-    return _CIRCUIT.gamma * _CIRCUIT.delta * math.exp(arg)
+    """Derivative of the diode law: gamma*delta*exp(delta*u).
+
+    An exponent past float64's range raises ``math.exp``'s OverflowError."""
+    return GAMMA * DELTA * math.exp(DELTA * u)
 
 
 def input_voltage(t: float) -> float:
     """Harmonic drive A*sin(2*pi*t/T)."""
-    return _CIRCUIT.amplitude * math.sin(2.0 * math.pi * t / _CIRCUIT.period)
+    return AMPLITUDE * math.sin(2.0 * math.pi * t / PERIOD)
 
 
 def _circuit_mass(p: np.ndarray) -> np.ndarray:

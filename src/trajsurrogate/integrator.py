@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .dynsys import DiodeOverflowError, IntegrationError, SystemSpec, algebraic_rows
+from .dynsys import IntegrationError, SystemSpec, algebraic_rows
 
 # error-estimate constants: local truncation error of BDF order k is about
 # C_k times the predictor-corrector difference (fixed-step values)
@@ -268,7 +268,7 @@ class _Newton:
         try:
             m_xdot = self.mass @ np.array([a0_h * a + b for a, b in zip(x, hist)])
             f = self.f(t, np.array(x), self.p)
-        except (DiodeOverflowError, FloatingPointError, OverflowError):
+        except (FloatingPointError, OverflowError):
             return None
         r = [a - b for a, b in zip(m_xdot.tolist(), f.tolist())]
         return r if all(map(math.isfinite, r)) else None

@@ -347,10 +347,19 @@ def loss_mse(
         f = fp.factors
         sq = np.einsum("ij,ij->i", fp.e, fp.e) + f.rho
         return float((norm.output_scale() ** 2 @ sq + f.fixed) / (f.k * fp.e.shape[0]))
+    diff = fp.pred - _targets_of(fp, targets)
+    return float(np.mean(diff * diff))
+
+
+def _targets_of(fp: Union[ForwardPass, _ChainPass], targets: np.ndarray) -> np.ndarray:
+    """`targets` as a float64 array of the prediction's (k, m) shape; no
+    broadcasting, since the loss and its gradient both divide by k m."""
     if fp.pred.shape[0] == 0:
         raise ValueError("empty sample set")
-    diff = fp.pred - np.atleast_2d(targets)
-    return float(np.mean(diff * diff))
+    y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    if y.shape != fp.pred.shape:
+        raise DimensionMismatchError(f"targets have shape {y.shape}, predictions {fp.pred.shape}")
+    return y
 
 
 def gradient(
@@ -374,10 +383,8 @@ def gradient(
         g = fp.e @ f.r
         g *= ((2.0 / (f.k * g.shape[0])) * norm.output_scale() ** 2)[:, None]
         return NetworkGradient([g[:, :-1]], [g[:, -1]])
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    k, m = fp.pred.shape[0], targets.shape[1]
-    if k == 0:
-        raise ValueError("empty sample set")
+    targets = _targets_of(fp, targets)
+    k, m = targets.shape
 
     # dL/d(out) includes the denormalization scaling of each target component
     delta = (2.0 / (k * m)) * (fp.pred - targets) * norm.output_scale()

@@ -328,10 +328,8 @@ def test_fit_flags_only_on_generate_and_train(tmp_path, capsys):
     flags = (["--seed-data", "1"], ["--seed-weights", "1"], ["--method", "cg"], ["--transfer", "purelin"])
     for command in commands:
         for flag in flags:
-            with pytest.raises(SystemExit) as exc:
-                main([*command, "--config", config, *flag])
-            assert exc.value.code == 2
-            assert "unrecognized arguments" in capsys.readouterr().err
+            assert main([*command, "--config", config, *flag]) == 2
+            assert capsys.readouterr().err.startswith("error: ConfigError: unrecognized arguments")
 
 
 def _blowup_config(tmp_path, on_failure):
@@ -617,9 +615,23 @@ def test_run_config_lists_the_training_defaults():
 
 def test_flag_overrides_pass_the_same_checks(tmp_path, capsys):
     config = write_config(tmp_path, tmp_path / "run")
-    assert main(["generate", "--config", str(config), "--seed-data", "-1"]) == 2
-    assert capsys.readouterr().err.startswith("error: ConfigError: seed_data: -1 ")
+    cases = (
+        (["generate", "--seed-data", "-1"], "error: ConfigError: seed_data: -1 "),
+        (["generate", "--seed-data", "abc"], "error: ConfigError: argument --seed-data: invalid int value: 'abc'"),
+        (["train", "--method", "bogus"], "error: ConfigError: training.method: 'bogus' is not one of"),
+    )
+    for argv, message in cases:
+        assert main([*argv, "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(message)
     assert not list(tmp_path.rglob("*.ds"))
+
+
+def test_command_line_without_a_command(capsys):
+    assert main([]) == 2
+    assert capsys.readouterr().err == "error: ConfigError: the following arguments are required: command\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
 
 
 def _optional(**keys):

@@ -447,6 +447,8 @@ def test_sample_set_validates_shapes():
         SampleSet("train", np.zeros((2, 1)), np.zeros((3, 3)), grid)
     with pytest.raises(ValueError):
         SampleSet("train", np.zeros((2, 1)), np.zeros((2, 4)), grid)
+    with pytest.raises(ValueError, match="grid expects 3"):
+        SampleSet("train", np.zeros((0, 1)), np.zeros((0, 4)), grid)
     with pytest.raises(ValueError):
         SampleSet("holdout", np.zeros((2, 1)), np.zeros((2, 3)), grid)
 
@@ -544,6 +546,8 @@ def test_csv_export_header_and_values(tmp_path):
     assert lines[0] == "p1,p2,y1,y2"
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(back, np.array([[1, 2, 5, 6], [3, 4, 7, 8]], dtype=float))
+    export_dataset_csv(SampleSet("test", np.empty((0, 2)), np.empty((0, 2)), grid), path)
+    assert path.read_text() == "p1,p2,y1,y2\n"
 
 
 def test_decay_targets_match_closed_form():

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajsurrogate.dynsys import (
-    CircuitConstants,
-    DiodeOverflowError,
+    AMPLITUDE,
+    DELTA,
+    GAMMA,
+    PERIOD,
     IntegrationError,
     ParameterDomain,
     SystemSpec,
@@ -21,8 +23,6 @@ from trajsurrogate.dynsys import (
     finite_difference_jacobian,
     input_voltage,
 )
-
-CONST = CircuitConstants()
 
 # independent evaluation of gamma*(exp(delta*u) - 1) at u = 100 via math.exp
 DIODE_AT_100 = 4.067e-8 * (math.exp(5.634e-2 * 100.0) - 1.0)
@@ -38,15 +38,15 @@ def test_diode_frozen_value():
 
 
 def test_diode_overflow_guard():
-    with pytest.raises(DiodeOverflowError):
+    with pytest.raises(OverflowError):
         diode_current(1e6)
-    # just under the guard still evaluates
+    # below math.exp's threshold (exponent log(float64 max), u about 1.26e4) it evaluates
     assert math.isfinite(diode_current(1e4))
 
 
 @given(st.floats(min_value=-1e4, max_value=1e4))
 def test_diode_bounded_below(u):
-    assert diode_current(u) >= -CONST.gamma
+    assert diode_current(u) >= -GAMMA
 
 
 @given(
@@ -76,8 +76,8 @@ def test_diode_conductance_matches_fd(u):
 
 def test_input_voltage_shape():
     assert input_voltage(0.0) == 0.0
-    assert input_voltage(CONST.period / 4.0) == pytest.approx(CONST.amplitude, rel=1e-12)
-    assert input_voltage(0.3) == pytest.approx(input_voltage(0.3 + CONST.period), abs=1e-9)
+    assert input_voltage(PERIOD / 4.0) == pytest.approx(AMPLITUDE, rel=1e-12)
+    assert input_voltage(0.3) == pytest.approx(input_voltage(0.3 + PERIOD), abs=1e-9)
 
 
 def test_default_domain_bounds():
@@ -162,8 +162,8 @@ def _circuit_jac_numpy_scalars(t, x, p):
 def _outcome(fn, *args):
     try:
         return fn(*args).tobytes()
-    except DiodeOverflowError:
-        return DiodeOverflowError
+    except OverflowError:
+        return OverflowError
 
 
 _DOMAIN = default_domain()
@@ -186,7 +186,7 @@ def test_circuit_callables_match_numpy_scalar_form_bitwise(t, x, p):
 def test_circuit_callables_overflow_at_the_same_state():
     spec = circuit_system()
     p = _DOMAIN.midpoint()
-    edge = math.log(np.finfo(np.float64).max) / CONST.delta
+    edge = math.log(np.finfo(np.float64).max) / DELTA
     us = [edge]
     for _ in range(4):
         us = [math.nextafter(us[0], -math.inf)] + us + [math.nextafter(us[-1], math.inf)]
@@ -197,8 +197,8 @@ def test_circuit_callables_overflow_at_the_same_state():
             got = _outcome(spec.rhs, 0.1, x, p)
             assert got == _outcome(_circuit_rhs_numpy_scalars, 0.1, x, p)
             assert _outcome(spec.jac, 0.1, x, p) == _outcome(_circuit_jac_numpy_scalars, 0.1, x, p)
-            raised.append(got is DiodeOverflowError)
-    # the sweep crosses the guard: both outcomes occur
+            raised.append(got is OverflowError)
+    # the sweep crosses math.exp's threshold, exponent log(float64 max): both outcomes occur
     assert any(raised) and not all(raised)
 
 

@@ -247,6 +247,30 @@ def test_singular_iteration_matrix_fails_quietly(errstate):
             integrate_fixed_step(_singular_after_start(), None, 0.1, ToleranceSettings())
 
 
+def test_newton_rejects_overflowing_and_infinite_trial_states():
+    spec = circuit_system()
+    p = default_domain().midpoint()
+    newton = _Newton(spec, p, spec.mass_matrix(p), ToleranceSettings())
+    big = np.finfo(np.float64).max
+    hist = [0.0, 0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert newton._try_residual(0.1, [0.0, 0.0, 0.0], 10.0, hist) is not None
+        # math.exp raises OverflowError: exponent delta*u past log(float64 max), u about 1.26e4
+        assert newton._try_residual(0.1, [0.0, 0.0, 1.3e4], 10.0, hist) is None
+        assert newton._try_residual(0.1, [-1.3e4, 0.0, 0.0], 10.0, hist) is None
+        # -(x1 + x3) rounds to +inf, so diode_current returns inf and the residual is not finite
+        assert newton._try_residual(0.1, [-big, 0.0, -big], 0.5, hist) is None
+        # a state at +-inf: the mass product 0*inf is invalid, which errstate raises as
+        # FloatingPointError (under the default errstate NumPy warns first, then the NaN is rejected)
+        with np.errstate(all="raise"):
+            for inf in (math.inf, -math.inf):
+                for i in range(3):
+                    x = [0.0, 0.0, 0.0]
+                    x[i] = inf
+                    assert newton._try_residual(0.1, x, 10.0, hist) is None, x
+
+
 def _listed(spec: SystemSpec) -> SystemSpec:
     """The same system with mass, initial, rhs and jac returning lists or tuples."""
     jac = spec.jac

@@ -185,6 +185,22 @@ def test_loss_rejects_empty_set():
                 evaluate(small_net(kind), Normalizer.identity(2, 2), np.empty((0, 2)), np.empty((0, 2)))
 
 
+def test_loss_and_gradient_refuse_mismatched_targets():
+    # broadcast targets would give a loss over k*1 entries and a gradient 3x too large
+    rng = np.random.default_rng(8)
+    norm = Normalizer.identity(2, 3)
+    for kind in TransferKind:
+        net = small_net(kind, sizes=(2, 5, 3))
+        # purelin runs 4 rows layer by layer and 8 through the layer chain
+        for k in (4, 8):
+            params = rng.standard_normal((k, 2))
+            assert _chain_is_cheaper(net.sizes, k) == (k == 8)
+            for shape in ((k, 1), (1, 3), (k, 4)):
+                for evaluate in (loss_mse, gradient):
+                    with pytest.raises(DimensionMismatchError, match="targets have shape"):
+                        evaluate(net, norm, params, np.zeros(shape))
+
+
 def _fd_gradient(net, norm, params, targets, eps=1e-6):
     """Central finite differences over every weight and bias entry."""
     grads_w = []
