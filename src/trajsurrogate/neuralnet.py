@@ -238,19 +238,33 @@ class ForwardPass(NamedTuple):
 
 class _ChainPass(NamedTuple):
     """One batch through a net of affine layers only, which maps z to z @ P + c,
-    taken from the thin side: x = [z, 1], the (q+1)-row prefix maps [I; 0] @
-    W_1' ... W_j' with the biases in their last row (layer j's input is
-    x @ prefix[j]), and the denormalized prediction."""
+    taken from the thin side: x = [z, 1], the `_prefixes` of the net (layer
+    j's output is x @ prefix[j]), and the denormalized prediction."""
 
     x: np.ndarray
     prefix: List[np.ndarray]
     pred: np.ndarray
 
 
+def _prefixes(net: NetworkParams) -> List[np.ndarray]:
+    """The (q+1)-row maps of an affine net from x = [z, 1] to each layer's
+    output: [W_1'; b_1], then prefix @ W_j' with b_j added to the last row.
+    The first is C-ordered when more layers follow (their products' bytes
+    depend on it), else a view of [W, b]."""
+    wb = np.hstack([net.weights[0], net.biases[0][:, None]])
+    prefix = [wb.T.copy() if net.n_layers > 1 else wb.T]
+    for w, b in zip(net.weights[1:], net.biases[1:]):
+        a = prefix[-1] @ w.T
+        a[-1] += b
+        prefix.append(a)
+    return prefix
+
+
 class OutputFactors(NamedTuple):
-    """One set seen by an output layer whose input is fixed: the k-row input
+    """One set seen by affine layers whose input is fixed: the k-row input
     A = [H, 1] and the normalized targets V, kept through the reduced QR
-    factors A = QR (Q itself is dropped).
+    factors A = QR (Q itself is dropped).  H is the normalized input z for an
+    affine net, or a hard-limit net's last hidden activations.
 
     With r = min(k, N+1) and D = (Q'V)', |A w_j - v_j|^2 = |R w_j - d_j|^2 +
     rho_j for every w_j, with rho_j = |v_j - Q d_j|^2, whatever the rank of A.
@@ -266,8 +280,8 @@ class OutputFactors(NamedTuple):
 
     @classmethod
     def of(cls, features: np.ndarray, norm: Normalizer, targets: np.ndarray) -> "OutputFactors":
-        """Factor one set: `features` is its (k, N) output-layer input H
-        (`hidden_features`), `targets` its (k, m) targets in original units."""
+        """Factor one set: `features` is its (k, N) input H of the affine
+        layers, `targets` its (k, m) targets in original units."""
         targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
         k = features.shape[0]
         q, r = np.linalg.qr(np.hstack([features, np.ones((k, 1))]))
@@ -279,29 +293,33 @@ class OutputFactors(NamedTuple):
 
 
 class _FactoredPass(NamedTuple):
-    """One set through the output layer W~ = [W, b] on its OutputFactors:
-    E = W~ R' - D, an (m, r) array in normalized units."""
+    """One set through an affine net on its OutputFactors: the net's
+    `_prefixes` and E = A' R' - D, an (m, r) array in normalized units, where
+    A is the last prefix."""
 
+    prefix: List[np.ndarray]
     e: np.ndarray
     factors: OutputFactors
 
 
 def _factored_pass(net: NetworkParams, f: OutputFactors) -> _FactoredPass:
-    w, b = net.weights[0], net.biases[0]
-    if net.n_layers != 1 or w.shape != (f.d.shape[0], f.r.shape[1] - 1):
+    n, m = f.r.shape[1] - 1, f.d.shape[0]
+    affine = net.n_layers == 1 or net.hidden_transfer is TransferKind.PURELIN
+    if not affine or (net.sizes[0], net.sizes[-1]) != (n, m):
         raise DimensionMismatchError(
-            f"factored set needs one {f.d.shape[0]} x {f.r.shape[1] - 1} layer, net has sizes {net.sizes}"
+            f"factored set needs an affine {n} -> {m} net, not {net.hidden_transfer.value} {net.sizes}"
         )
-    e = np.hstack([w, b[:, None]]) @ f.r.T
+    prefix = _prefixes(net)
+    e = prefix[-1].T @ f.r.T
     e -= f.d
-    return _FactoredPass(e, f)
+    return _FactoredPass(prefix, e, f)
 
 
 def _forward_pass(
     net: NetworkParams, norm: Normalizer, params: Union[np.ndarray, OutputFactors]
 ) -> Union[ForwardPass, _ChainPass, _FactoredPass]:
     """The one choice of pass, for `forward`, `loss_mse` and `gradient` alike:
-    the factored output layer for `OutputFactors`; for k rows into a purelin
+    the factored affine net for `OutputFactors`; for k rows into a purelin
     net, the layer chain exactly when `_chain_is_cheaper` (never without a
     hidden layer); every other case layer by layer.  The passes differ by
     rounding only."""
@@ -313,11 +331,7 @@ def _forward_pass(
         acts, out = _forward_stack(net, z)
         return ForwardPass(acts, norm.denormalize_out(out))
     x = np.hstack([z, np.ones((z.shape[0], 1))])
-    prefix = [np.eye(x.shape[1], x.shape[1] - 1)]  # [I; 0]
-    for w, b in zip(net.weights, net.biases):
-        a = prefix[-1] @ w.T
-        a[-1] += b
-        prefix.append(a)
+    prefix = _prefixes(net)
     return _ChainPass(x, prefix, norm.denormalize_out(x @ prefix[-1]))
 
 
@@ -335,10 +349,11 @@ def loss_mse(
     On a purelin layer chain no k-row array wider than the output is formed.
 
     `params` may instead be the `OutputFactors` of a set, built from these
-    `targets`, for `net` the output layer alone (`_FactoredPass`).  The loss
-    is then (sum_j s_j^2 (|e_j|^2 + rho_j) + the zero-range term) / (k m)
-    with s = `norm.output_scale()`, at m min(k, N+1) (N+1) multiply-adds; it
-    equals the layer-by-layer one to rounding.
+    `targets`, for `net` an affine net on the factored input
+    (`_FactoredPass`).  The loss is then (sum_j s_j^2 (|e_j|^2 + rho_j) + the
+    zero-range term) / (k m) with s = `norm.output_scale()`, at
+    m min(k, N+1) (N+1) multiply-adds past the prefixes; it equals the
+    layer-by-layer one to rounding.
     """
     fp = _forward_pass(net, norm, params)
     if keep is not None:
@@ -374,22 +389,22 @@ def gradient(
     `params` are as in `loss_mse`.  Given `fp`, the forward pass that
     `loss_mse` kept for these weights and inputs, no forward pass is rerun.
     The output error is carried back through the pass it comes from: layer by
-    layer, through the layer chain, or as 2 s^2 (E R) / (k m) for a factored
-    set.
+    layer, or through the layer chain as x' delta, which for a factored set
+    is (2 s^2 (E R) / (k m))'.
     """
     fp = fp if fp is not None else _forward_pass(net, norm, params)
     if isinstance(fp, _FactoredPass):
         f = fp.factors
         g = fp.e @ f.r
         g *= ((2.0 / (f.k * g.shape[0])) * norm.output_scale() ** 2)[:, None]
-        return NetworkGradient([g[:, :-1]], [g[:, -1]])
+        return _chain_backward(net, fp.prefix, g.T)
     targets = _targets_of(fp, targets)
     k, m = targets.shape
 
     # dL/d(out) includes the denormalization scaling of each target component
     delta = (2.0 / (k * m)) * (fp.pred - targets) * norm.output_scale()
     if isinstance(fp, _ChainPass):
-        return _chain_backward(net, fp, delta)
+        return _chain_backward(net, fp.prefix, fp.x.T @ delta)
     return _backward(net, fp.acts, delta)
 
 
@@ -405,15 +420,15 @@ def _backward(net: NetworkParams, acts: List[np.ndarray], delta: np.ndarray) -> 
     return NetworkGradient(grad_w, grad_b)
 
 
-def _chain_backward(net: NetworkParams, fp: _ChainPass, delta: np.ndarray) -> NetworkGradient:
-    """Reverse pass through the layer chain.  Layer j's output error is
-    delta_j; t = x' @ delta_j is carried back instead, so no k-row array
-    wider than m is formed."""
-    t = fp.x.T @ delta
+def _chain_backward(net: NetworkParams, prefix: List[np.ndarray], t: np.ndarray) -> NetworkGradient:
+    """Reverse pass through the layer chain from t = x' @ delta, where delta
+    is the output error.  Layer j's output error is delta_j; t = x' @ delta_j
+    is carried back instead, so no k-row array wider than m is formed."""
     grad_w: List[Optional[np.ndarray]] = [None] * net.n_layers
     grad_b: List[Optional[np.ndarray]] = [None] * net.n_layers
     for j in range(net.n_layers - 1, -1, -1):
-        grad_w[j] = t.T @ fp.prefix[j]
+        # layer j's input is x @ prefix[j - 1], or z = x[:, :-1] for j = 0
+        grad_w[j] = t.T @ prefix[j - 1] if j > 0 else t[:-1].T
         grad_b[j] = t[-1]  # the column of ones in x sums delta_j over the rows
         if j > 0:
             t = t @ net.weights[j]

@@ -345,32 +345,43 @@ def train(
     """Run the configured method full-batch and return the weights of the
     epoch with the lowest validation MSE (the initial weights count as epoch 0).
 
-    With hard-limit hidden layers every hidden gradient is identically zero,
-    so only the output layer is optimized, a linear least-squares problem on
-    fixed features: each set's hidden activations H are computed once and
-    [H, 1] is factored once by QR (`OutputFactors`), after which a loss or
-    gradient costs m min(k, N+1) (N+1) multiply-adds, never more than the
-    k m (N+1) of a pass over the rows.  QR and not the normal equations:
-    [H, 1] is often rank-deficient (units constant over the set), and a Gram
-    form would subtract numbers the size of |v|^2, losing the accuracy of a
-    small loss.  The iterates match full-space optimization exactly in real
-    arithmetic (hidden weights never move) and to rounding in floats.
+    Every set must be non-empty (ValueError) and finite (NonFiniteLossError
+    naming its role); both are checked before anything is evaluated.
 
-    Every other net is evaluated on the raw inputs, through the pass that
-    `forward` takes on the same rows.  Losses and gradients run on views into
-    the optimizer's flat weight vector, and the gradient at an accepted point
-    reuses the forward pass of the loss evaluated at that same array.
+    Trained layers that are affine on a fixed input are evaluated on the QR
+    factors of [H, 1] (`OutputFactors`), computed once per set: the squared
+    loss depends on the set only through them, and a loss or gradient costs
+    m min(k, N+1) (N+1) multiply-adds past the chain prefixes, never more
+    than the k m (N+1) of a pass over the rows.  H is the normalized input
+    for a purelin net of any depth or a net without hidden layers.  With
+    hard-limit hidden layers every hidden gradient is identically zero, so
+    only the output layer is optimized, and H is the fixed hidden
+    activations; the iterates match full-space optimization exactly in real
+    arithmetic and to rounding in floats.  QR and not the normal equations:
+    [H, 1] is often rank-deficient, and a Gram form would lose the accuracy
+    of a small loss.
+
+    A tansig net with hidden layers is evaluated on the rows, through the
+    pass that `forward` takes on them.  Losses and gradients run on views
+    into the optimizer's flat weight vector, and the gradient at an accepted
+    point reuses the forward pass of the loss evaluated at that same array.
     """
     _check_compatible(net, train_set, valid_set, test_set)
 
     roles = (("train", train_set), ("valid", valid_set), ("test", test_set))
     sets = {key: s for key, s in roles if s is not None}
-    elm = net.hidden_transfer is TransferKind.HARDLIM and net.n_layers >= 2
+    for s in sets.values():
+        if s.k == 0:
+            raise ValueError(f"empty sample set ({s.role})")
+        if not (np.isfinite(s.params).all() and np.isfinite(s.targets).all()):
+            raise NonFiniteLossError(f"{s.role} set has non-finite values")
+    frozen = net.n_layers - 1 if net.hidden_transfer is TransferKind.HARDLIM else 0  # untrained hidden layers
     # `work` only lends its shapes to the views; the caller's arrays stay as they are
-    work = NetworkParams([net.weights[-1]], [net.biases[-1]], TransferKind.PURELIN) if elm else net
+    work = NetworkParams(net.weights[frozen:], net.biases[frozen:], net.hidden_transfer)
+    affine = work.n_layers == 1 or work.hidden_transfer is TransferKind.PURELIN
     inputs = {
-        key: OutputFactors.of(hidden_features(net, norm, s.params), norm, s.targets)
-        if elm else s.params
+        key: OutputFactors.of(hidden_features(net, norm, s.params) if frozen else norm.normalize_in(s.params),
+                              norm, s.targets) if affine else s.params
         for key, s in sets.items()
     }
 
@@ -432,7 +443,6 @@ def train(
 
     record = TrainRecord(mse_train, mse_valid, mse_test, stop, best_epoch)
     best = _view(work, best_w)
-    frozen = net.n_layers - work.n_layers  # the hidden layers of a hard-limit net
     result = NetworkParams(
         net.weights[:frozen] + best.weights, net.biases[:frozen] + best.biases, net.hidden_transfer
     )

@@ -324,10 +324,12 @@ def _pinned_normalizer():
 
 
 # Outputs whose bytes no change to the batch path or to the Normalizer may
-# move: one-row purelin calls, tansig and hard-limit batches, and the
-# min-max maps with zero-range components.  (name, sha256)
+# move: one-row purelin calls, a reference-size purelin batch (the layer
+# chain), tansig and hard-limit batches, and the min-max maps with zero-range
+# components.  (name, sha256)
 _PINNED_BYTES = {
     "purelin, 20 one-row calls": "584f6fd1346787b4de8275202286f05a126b64d93b5b604dd8f3f617f00efd28",
+    "purelin, 500-row batch on 4-400-400-200": "30416f1ca36f4f6c7e0bd6d5f37b1b0e67623857c5d6b499a32877b8cbf217c1",
     "tansig, 50-row batch": "e779a3eb4c8e0c53a8f4c10e5511c9bfe80aeddb760a2e217be42f1a1b77e852",
     "hardlim, 50-row batch": "8d9418c2a461ba53b8af2b7ddd7d98651fe4e6981939aea6defbdddfefad9a13",
     "normalize_in": "a701c8d50b0fa4572dbf9baf08131c331c8ecb7964b7075994ba9610166d8136",
@@ -343,12 +345,17 @@ def test_pinned_outputs_keep_their_bytes():
     points = rng.uniform(-4.0, 6.0, (50, 4))
     u = rng.uniform(-1.2, 1.2, (50, 6))
     y = rng.uniform(-250.0, 350.0, (50, 6))
+    # the reference size, where a 500-row batch takes the layer chain
+    wide = init_weights((4, 400, 400, 200), TransferKind.PURELIN, RngSeed(41, "weights"))
+    wide_norm = Normalizer.from_training(rng.uniform(-3.0, 5.0, (40, 4)), rng.uniform(-200.0, 300.0, (40, 200)))
+    batch = rng.uniform(-4.0, 6.0, (500, 4))
     purelin, tansig, hardlim = (
         init_weights((4, 30, 20, 6), kind, RngSeed(37, "weights"))
         for kind in (TransferKind.PURELIN, TransferKind.TANSIG, TransferKind.HARDLIM)
     )
     got = {
         "purelin, 20 one-row calls": _sha(*[forward(purelin, norm, row) for row in points[:20]]),
+        "purelin, 500-row batch on 4-400-400-200": _sha(forward(wide, wide_norm, batch)),
         "tansig, 50-row batch": _sha(forward(tansig, norm, points)),
         "hardlim, 50-row batch": _sha(forward(hardlim, norm, points)),
         "normalize_in": _sha(norm.normalize_in(points), norm.normalize_in(points[0])),

@@ -19,6 +19,7 @@ from trajsurrogate.neuralnet import (
     _FactoredPass,
     _chain_is_cheaper,
     _forward_stack,
+    _prefixes,
     forward,
     gradient,
     hidden_features,
@@ -279,13 +280,24 @@ def test_perfect_initial_fit_stops_on_gradient():
 
 
 def test_non_finite_targets_raise():
+    # an inf target or an empty set in any role is refused before any set is
+    # factored or evaluated: no RuntimeWarning (an error in this suite), and
+    # no record of an inf test MSE
     sets = affine_sets(seed=8)
-    net, norm = default_net(sets)
-    bad = SampleSet(
-        "train", sets[0].params, np.full_like(sets[0].targets, np.inf), sets[0].grid
-    )
-    with pytest.raises(NonFiniteLossError):
-        train(net, norm, bad, sets[1], sets[2], TrainConfig(method="gdx", max_epochs=5))
+    for kind in TransferKind:
+        net, norm = default_net(sets, kind=kind)
+        for i, s in enumerate(sets):
+            targets = s.targets.copy()
+            targets[3, 1] = np.inf
+            cases = (
+                (SampleSet(s.role, s.params, targets, s.grid), NonFiniteLossError, f"{s.role} set"),
+                (SampleSet(s.role, s.params[:0], s.targets[:0], s.grid), ValueError, "empty sample set"),
+            )
+            for bad, error, match in cases:
+                roles = list(sets)
+                roles[i] = bad
+                with pytest.raises(error, match=match):
+                    train(net, norm, *roles, TrainConfig(method="cg", max_epochs=5))
 
 
 def test_incompatible_shapes_raise():
@@ -338,17 +350,18 @@ def _digest(values):
 
 # The tansig entry was recorded before losses and gradients ran on weight
 # views, on pre-normalized inputs and on the kept forward pass: those changes
-# must not move a bit.  The purelin entry was recorded when purelin nets moved
-# to the collapsed layer chain, and the hard-limit entry when hard-limit fits
-# moved to the QR factors of their fixed output-layer input (OutputFactors);
-# both passes equal the layer-by-layer losses and gradients only to rounding
-# (the hard-limit record moved by at most 5e-16 relative).
+# must not move a bit.  The hard-limit entry was recorded when hard-limit fits
+# moved to the QR factors of their fixed output-layer input (OutputFactors),
+# and the purelin entry when purelin fits moved to the QR factors of [z, 1];
+# both equal the layer-by-layer losses and gradients only to rounding (the
+# hard-limit record moved by at most 5e-16 relative; the purelin one kept its
+# epochs and stop and moved in the last bits of losses near 4e-15).
 # (epochs, stop reason, sha256 of mse_train + mse_valid + mse_test, sha256 of pack(result))
 _RECORDED_FITS = {
     ("cg", TransferKind.PURELIN): (
         36, StopReason.MIN_GRADIENT,
-        "ae2504e823e4926d26e443d674cae987572f19a73571779412bebf168a41be15",
-        "cc7d820936164a15228cb0618f19d95de8197dcc18b70771d3882af869e9ad0b",
+        "371a5417d2874944a66faa6d5ea4b8256c58332a991d18b833c41363a6a2c64f",
+        "86b4224e6676e617026776ad0b366750ac23d7622532c4b8dbc8a9c1beb76902",
     ),
     ("oss", TransferKind.TANSIG): (
         40, StopReason.MAX_EPOCHS,
@@ -376,18 +389,19 @@ def test_fit_matches_recorded_iterates_bitwise(method, kind):
     assert _digest(pack(result)) == weights_sha
 
 
-# A net without hidden layers trains on the full-width path: these bits were
-# recorded before the collapsed chain existed.
+# A net without hidden layers trains on the QR factors of [z, 1], like any
+# affine net: these bits were recorded when it moved there from the
+# layer-by-layer pass, keeping its epochs and stop.
 _RECORDED_HIDDEN_FREE = {
     "cg": (
         18, StopReason.MIN_GRADIENT,
-        "6828e0834123af841d31e3e28537aa0f834af01cc766d36b546aceebb21351a6",
-        "267b6fed833905226b46b78a8ebc4beecbba55df2193c711d3048aa8b3443583",
+        "989fc04865c13613e2d0e0fe6662a663e3fa46ae7025141ee777be5912f3537b",
+        "2ff51e6cf3cb6da0c635ad6c0981d7e887928bd0ca23d2c1b7d88d975e7b1e83",
     ),
     "gdx": (
         40, StopReason.MAX_EPOCHS,
-        "2b55cf535d11f502ae6b3b2fa75c20acf4324922bf8f6a95ebdc474fd971644e",
-        "10ac7f5c5d5014b7217937855285f0651cb4a7c58abf6120ba06102bd82d4a1b",
+        "f1ecfe8bd0924daefa041d58d518e77c53c0edc9df657a4a40375ab2e078a5b1",
+        "39ff24e733e96524ccd8fadf8609b1a939bd19204e17098c355239b4533acfa6",
     ),
 }
 
@@ -428,13 +442,16 @@ def test_purelin_fit_outcomes_are_pinned(method):
 
 
 @pytest.mark.parametrize("hidden, kind, pass_type", [
-    ([8], TransferKind.PURELIN, _ChainPass),
-    ([8, 6], TransferKind.PURELIN, _ChainPass),
-    ([], TransferKind.PURELIN, ForwardPass),
+    ([8], TransferKind.PURELIN, _FactoredPass),
+    ([8, 6], TransferKind.PURELIN, _FactoredPass),
+    ([], TransferKind.PURELIN, _FactoredPass),
     ([8], TransferKind.HARDLIM, _FactoredPass),
+    ([], TransferKind.HARDLIM, _FactoredPass),
+    ([], TransferKind.TANSIG, _FactoredPass),
     ([8], TransferKind.TANSIG, ForwardPass),
+    ([8, 6], TransferKind.TANSIG, ForwardPass),
 ])
-def test_train_takes_the_collapsed_chain_only_for_purelin_hidden_layers(monkeypatch, hidden, kind, pass_type):
+def test_train_factors_every_affine_fit(monkeypatch, hidden, kind, pass_type):
     import trajsurrogate.neuralnet as neuralnet
     import trajsurrogate.training as training
 
@@ -499,6 +516,64 @@ def test_collapsed_chain_matches_full_width_loss_and_gradient(sizes):
     # the zero-range target column gets no gradient on either path
     for g in (full, fresh):
         assert not g.weights[-1][2].any() and g.biases[-1][2] == 0.0
+
+
+@pytest.mark.parametrize("k", [40, 3])
+@pytest.mark.parametrize("sizes", [[4, 2, 6], [4, 3, 10, 6], [4, 12, 2, 5, 6], [4, 6]])
+def test_factored_affine_net_matches_the_row_and_chain_passes(sizes, k):
+    rng = np.random.default_rng(len(sizes) * 100 + sum(sizes) + k)
+    q, m = sizes[0], sizes[-1]
+    params = rng.uniform(-2.0, 3.0, (k, q))
+    targets = rng.standard_normal((k, m)) * rng.uniform(0.5, 50.0, m)
+    targets[:, 2] = -1.5  # a target column with zero range
+    norm = Normalizer.from_training(params, targets)
+    weights = [rng.standard_normal((n_out, n_in)) for n_in, n_out in zip(sizes, sizes[1:])]
+    net = NetworkParams(weights, [rng.standard_normal(n) for n in sizes[1:]], TransferKind.PURELIN)
+    z = norm.normalize_in(params)
+    factors = OutputFactors.of(z, norm, targets)
+    assert factors.r.shape == (min(k, q + 1), q + 1)
+    kept = []
+    loss = loss_mse(net, norm, factors, targets, keep=kept)
+    assert isinstance(kept[0], _FactoredPass)
+    fresh = gradient(net, norm, factors, targets)
+    reused = gradient(net, norm, factors, targets, fp=kept[0])
+    for a, b in zip(fresh.weights + fresh.biases, reused.weights + reused.biases):
+        assert a.tobytes() == b.tobytes()
+    # the factors feed affine nets only: tansig hidden layers are refused
+    tansig = NetworkParams(net.weights, net.biases, TransferKind.TANSIG)
+    if tansig.n_layers > 1:
+        with pytest.raises(DimensionMismatchError):
+            loss_mse(tansig, norm, factors, targets)
+    else:
+        assert loss_mse(tansig, norm, factors, targets) == loss
+
+    # the oracles: the layer-by-layer pass and the layer chain, on the rows
+    acts, out = _forward_stack(net, z)
+    x = np.hstack([z, np.ones((k, 1))])
+    prefix = _prefixes(net)
+    rows = ForwardPass(acts, norm.denormalize_out(out))
+    chain = _ChainPass(x, prefix, norm.denormalize_out(x @ prefix[-1]))
+    for fp in (rows, chain):
+        diff = fp.pred - targets
+        assert math.isclose(loss, float(np.mean(diff * diff)), rel_tol=1e-12)
+        want = gradient(net, norm, params, targets, fp=fp)
+        for got, w in zip(fresh.weights + fresh.biases, want.weights + want.biases):
+            assert got.shape == w.shape
+            assert np.max(np.abs(got - w)) <= 1e-12 * np.max(np.abs(w))
+
+    # central differences of the factored loss
+    flat = pack(net)
+    fd = np.empty_like(flat)
+    for i in range(flat.size):
+        h = 1e-6 * max(1.0, abs(flat[i]))
+        up, down = flat.copy(), flat.copy()
+        up[i] += h
+        down[i] -= h
+        fd[i] = (loss_mse(_view(net, up), norm, factors, targets)
+                 - loss_mse(_view(net, down), norm, factors, targets)) / (2.0 * h)
+    assert np.max(np.abs(pack(fresh) - fd)) <= 1e-6 * np.max(np.abs(fd))
+    # the zero-range target column gets no gradient
+    assert not fresh.weights[-1][2].any() and fresh.biases[-1][2] == 0.0
 
 
 @pytest.mark.parametrize("k, n, case", [
