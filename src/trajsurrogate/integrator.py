@@ -226,42 +226,42 @@ class _Newton:
 
     def solve(self, t_new: float, x_pred: list, a0_h: float, hist: list):
         """Return (x, converged, iterations)."""
-        iter_matrix = a0_h * self.mass - self.jac
+        with np.errstate(invalid="ignore"):  # NaNs from inf trials or singular solves fail the finite checks
+            iter_matrix = a0_h * self.mass - self.jac
 
-        x = x_pred
-        resid = self._try_residual(t_new, x, a0_h, hist)
-        if resid is None:
-            return x, False, 0
+            x = x_pred
+            resid = self._try_residual(t_new, x, a0_h, hist)
+            if resid is None:
+                return x, False, 0
 
-        atol, rtol = self.atol, self.rtol
-        prev_norm = math.inf
-        for it in range(1, _NEWTON_MAX_ITER + 1):
-            with np.errstate(invalid="ignore"):  # whatever the caller's setting
+            atol, rtol = self.atol, self.rtol
+            prev_norm = math.inf
+            for it in range(1, _NEWTON_MAX_ITER + 1):
                 dx = _solve1(iter_matrix, -np.array(resid)).tolist()
-            if not all(map(math.isfinite, dx)):
-                return x, False, it  # singular iteration matrix or overflow
+                if not all(map(math.isfinite, dx)):
+                    return x, False, it  # singular iteration matrix or overflow
 
-            # damp the update until the residual is evaluable and finite
-            lam = 1.0
-            for _ in range(8):
-                x_trial = [a + lam * d for a, d in zip(x, dx)]
-                trial_resid = self._try_residual(t_new, x_trial, a0_h, hist)
-                if trial_resid is not None:
-                    break
-                lam *= 0.5
-            else:
-                return x, False, it
-            x = x_trial
-            resid = trial_resid
+                # damp the update until the residual is evaluable and finite
+                lam = 1.0
+                for _ in range(8):
+                    x_trial = [a + lam * d for a, d in zip(x, dx)]
+                    trial_resid = self._try_residual(t_new, x_trial, a0_h, hist)
+                    if trial_resid is not None:
+                        break
+                    lam *= 0.5
+                else:
+                    return x, False, it
+                x = x_trial
+                resid = trial_resid
 
-            dnorm = max([abs(lam * d) / (atol + rtol * abs(a)) for d, a in zip(dx, x)])
-            if dnorm < _NEWTON_KAPPA:
-                self.slow = it >= 4
-                return x, True, it
-            if dnorm > 2.0 * prev_norm:
-                return x, False, it  # diverging
-            prev_norm = dnorm
-        return x, False, _NEWTON_MAX_ITER
+                dnorm = max([abs(lam * d) / (atol + rtol * abs(a)) for d, a in zip(dx, x)])
+                if dnorm < _NEWTON_KAPPA:
+                    self.slow = it >= 4
+                    return x, True, it
+                if dnorm > 2.0 * prev_norm:
+                    return x, False, it  # diverging
+                prev_norm = dnorm
+            return x, False, _NEWTON_MAX_ITER
 
     def _try_residual(self, t, x, a0_h, hist) -> Optional[list]:
         # hist holds (a1*x_n + a2*x_{n-1})/h so xdot = a0_h*x + hist

@@ -178,23 +178,17 @@ def _line_search(
     for _ in range(60):
         w1 = w + alpha * d
         f1 = float(loss_fn(w1))
-        armijo = f1 <= loss0 + c1 * alpha * slope0
-        if math.isfinite(f1) and armijo:
-            denom = 2.0 * (f1 - loss0 - slope0 * alpha)
-            if denom > 0.0:
-                aq = -slope0 * alpha * alpha / denom
-                if math.isfinite(aq) and 0.1 * alpha <= aq <= 10.0 * alpha and aq != alpha:
-                    wq = w + aq * d
-                    fq = float(loss_fn(wq))
-                    if math.isfinite(fq) and fq < f1 and fq <= loss0 + c1 * aq * slope0:
-                        return aq, fq, wq
-            return alpha, f1, w1
+        # the minimizer of the parabola through loss0, slope0 and f1
         denom = 2.0 * (f1 - loss0 - slope0 * alpha)
-        if math.isfinite(denom) and denom > 0.0:
-            trial = -slope0 * alpha * alpha / denom
-        else:
-            trial = 0.5 * alpha
-        alpha = float(np.clip(trial, 0.1 * alpha, 0.5 * alpha))
+        aq = -slope0 * alpha * alpha / denom if math.isfinite(denom) and denom > 0.0 else math.nan
+        if math.isfinite(f1) and f1 <= loss0 + c1 * alpha * slope0:
+            if math.isfinite(aq) and 0.1 * alpha <= aq <= 10.0 * alpha and aq != alpha:
+                wq = w + aq * d
+                fq = float(loss_fn(wq))
+                if math.isfinite(fq) and fq < f1 and fq <= loss0 + c1 * aq * slope0:
+                    return aq, fq, wq
+            return alpha, f1, w1
+        alpha = float(np.clip(aq if math.isfinite(aq) else 0.5 * alpha, 0.1 * alpha, 0.5 * alpha))
         if alpha < min_step:
             raise MinStepError(f"line-search step {alpha:.3e} below floor {min_step:.3e}")
     raise MinStepError("line search exhausted its evaluation budget")

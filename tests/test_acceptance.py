@@ -2,8 +2,11 @@
 
 Run `pytest tests/test_acceptance.py -v` for one pass/fail line per
 criterion.  The heavy fixtures build the reference experiment once: the
-full 500/500/500 dataset at m = 200 through the CLI, then one trained
-network per (method, transfer) pair at the 10000-epoch cap.
+full 500/500/500 dataset at m = 200 through the CLI, with one worker process
+per CPU, then one trained network per (method, transfer) pair at the
+10000-epoch cap.  That dataset must equal the benchmark's stored copy,
+`perfbench/data/reference_dataset.npz`, byte for byte, so a change that
+moves generation bits also has to rewrite that copy.
 
 Two criteria check training against oracles computed in the test from the
 same data.  Criterion 4 bounds the optimality gap: the linear net's train
@@ -16,8 +19,10 @@ at that cap with the same validation history.
 
 import json
 import math
+import os
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +56,7 @@ _ROLES = ("train", "validation", "test")
 _GENERATION_BUDGET_S = 600.0
 _TRAINING_BUDGET_S = 900.0
 _MAX_EPOCHS = 10000
+_BENCHMARK_FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "reference_dataset.npz"
 
 
 @pytest.fixture(scope="module")
@@ -58,12 +64,27 @@ def reference_data(tmp_path_factory):
     """Full-scale dataset generation through the CLI, timed for criterion 4."""
     out = tmp_path_factory.mktemp("acceptance") / "run"
     config = out.parent / "config.json"
-    config.write_text(json.dumps({"out": str(out)}))  # defaults: 500/500/500, m=200
+    # defaults otherwise: 500/500/500, m=200; the pool is capped at the usable CPUs
+    config.write_text(json.dumps({"out": str(out), "generation": {"workers": os.cpu_count() or 1}}))
     started = time.perf_counter()
     assert main(["generate", "--config", str(config)]) == 0
     seconds = time.perf_counter() - started
     sets = {role: load_dataset(out / f"{role}.ds") for role in _ROLES}
     return sets, seconds
+
+
+def test_reference_data_matches_the_benchmark_fixture(reference_data):
+    """The reference set equals the benchmark's stored copy, byte for byte."""
+    sets, _ = reference_data
+    with np.load(_BENCHMARK_FIXTURE) as stored:
+        span = (float(stored["t0"]), float(stored["tf"]))
+        for role in _ROLES:
+            grid = sets[role].grid
+            assert (grid.t0, grid.tf) == span, f"{role} grid spans ({grid.t0}, {grid.tf}), stored {span}"
+            for name, got in (("params", sets[role].params), ("targets", sets[role].targets)):
+                want = stored[f"{role}_{name}"]
+                assert got.shape == want.shape, f"{role} {name}: shape {got.shape} != stored {want.shape}"
+                assert got.tobytes() == want.tobytes(), f"{role} {name} differ from the stored fixture"
 
 
 def _initial_net(train_set, kind):

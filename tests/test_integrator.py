@@ -262,13 +262,16 @@ def test_newton_rejects_overflowing_and_infinite_trial_states():
         # -(x1 + x3) rounds to +inf, so diode_current returns inf and the residual is not finite
         assert newton._try_residual(0.1, [-big, 0.0, -big], 0.5, hist) is None
         # a state at +-inf: the mass product 0*inf is invalid, which errstate raises as
-        # FloatingPointError (under the default errstate NumPy warns first, then the NaN is rejected)
-        with np.errstate(all="raise"):
-            for inf in (math.inf, -math.inf):
-                for i in range(3):
-                    x = [0.0, 0.0, 0.0]
-                    x[i] = inf
+        # FloatingPointError; solve ignores invalid operations throughout, so under the
+        # default errstate it rejects such a start without a warning
+        newton.refresh(0.1, hist)
+        for inf in (math.inf, -math.inf):
+            for i in range(3):
+                x = [0.0, 0.0, 0.0]
+                x[i] = inf
+                with np.errstate(all="raise"):
                     assert newton._try_residual(0.1, x, 10.0, hist) is None, x
+                assert newton.solve(0.1, x, 10.0, hist) == (x, False, 0), x
 
 
 def _listed(spec: SystemSpec) -> SystemSpec:
