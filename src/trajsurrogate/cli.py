@@ -368,9 +368,12 @@ def cmd_evaluate(
 def _parse_list(flag: str, text: str, kind: type) -> list:
     """A comma-separated flag value as a list of `kind` values."""
     try:
-        return [kind(v) for v in text.split(",")]
+        values = [kind(v) for v in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"{flag}: {text!r} is not a comma-separated list of {kind.__name__}") from exc
+    if not all(-np.inf < v < np.inf for v in values):  # also false for nan
+        raise ConfigError(f"{flag}: {text!r} holds a value that is not finite")
+    return values
 
 
 def cmd_predict(cfg: RunConfig, params: str, compare: bool = False) -> None:

@@ -40,9 +40,7 @@ def transfer(kind: TransferKind, x):
     """Componentwise transfer: works on scalars and arrays alike."""
     x = np.asarray(x, dtype=np.float64)
     if kind is TransferKind.TANSIG:
-        # 2/(1+e^(-2x)) - 1, evaluated overflow-free on both half-lines
-        z = np.exp(-2.0 * np.abs(x))
-        return np.sign(x) * (1.0 - z) / (1.0 + z)
+        return np.tanh(x)  # tansig, 2/(1+e^(-2x)) - 1, is tanh
     if kind is TransferKind.HARDLIM:
         return np.where(x >= 0.0, 1.0, 0.0)
     return x

@@ -187,6 +187,8 @@ def test_plot_data_rejects_out_of_range_index(pipeline, capsys):
     (["plot-data", "--indices", "a"], "--indices: 'a' "),
     (["plot-data", "--indices", "0,1.5"], "--indices: "),
     (["plot-data", "--indices", "0,-1"], "--indices: sample index -1 "),
+    (["predict", "--params", "nan,2.5e-9,1.5e6,1.5e8"], "--params: 'nan,2.5e-9,1.5e6,1.5e8' holds "),
+    (["predict", "--params", "2.5e-9,2.5e-9,inf,1.5e8"], "--params: '2.5e-9,2.5e-9,inf,1.5e8' holds "),
 ])
 def test_malformed_or_out_of_range_lists_are_config_errors(pipeline, capsys, argv, named):
     config, out = pipeline
