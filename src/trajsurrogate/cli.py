@@ -2,7 +2,9 @@
 
 All commands are non-interactive, driven by a JSON run configuration plus a
 few override flags, and exit nonzero with a machine-parsable "error:" line on
-any failure.  A run is reproducible from its configuration and seeds alone.
+any failure.  A run is reproducible from its configuration and seeds alone:
+dataset files match bit for bit, and model files, logs and reports do when
+both runs use the same BLAS thread count.
 """
 
 from __future__ import annotations
@@ -197,7 +199,10 @@ class RunConfig:
             raise ConfigError(f"cannot load system factory {self.system!r}: {exc}") from exc
         if not callable(factory):
             raise ConfigError(f"system factory {self.system!r} is not callable")
-        spec = factory()
+        try:
+            spec = factory()
+        except ValueError as exc:  # a SystemSpec refuses its values at construction
+            raise ConfigError(f"system factory {self.system!r}: {exc}") from exc
         if not isinstance(spec, SystemSpec):
             raise ConfigError(f"{self.system!r} did not return a SystemSpec")
         return spec

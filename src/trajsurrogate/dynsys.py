@@ -100,6 +100,11 @@ class SystemSpec:
     tf: float
     jac: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None
 
+    def __post_init__(self) -> None:
+        # an infinite tf would exhaust the step budget; with a NaN or an earlier one no step is taken
+        if not -math.inf < self.t0 < self.tf < math.inf:
+            raise ValueError(f"t0 and tf must be finite with t0 < tf, not t0={self.t0!r}, tf={self.tf!r}")
+
     def _read(self, name: str, value, shape: tuple) -> np.ndarray:
         """A result as a float64 array of the given shape (a float64 array as
         it is).  Lists, tuples and bool, integer or float arrays convert; a

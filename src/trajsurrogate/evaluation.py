@@ -45,24 +45,26 @@ class ErrorReport:
         object.__setattr__(self, "min_abs_target", np.asarray(self.min_abs_target, dtype=np.float64))
 
 
-def l1_relative_error(pred: np.ndarray, truth: np.ndarray, t0: float, tf: float) -> float:
-    """Time-weighted sum of pointwise relative deviations.
+def l1_relative_error(pred: np.ndarray, truth: np.ndarray, t0: float, tf: float) -> Union[float, np.ndarray]:
+    """Time-weighted sum of pointwise relative deviations along the last axis.
 
     E = (tf - t0)/m * sum |pred_l - truth_l| / |truth_l|; over [0, 0.5] this
-    is half the average pointwise relative error.  Exact zeros in the
-    reference raise ZeroDenominatorError rather than being regularized.
+    is half the average pointwise relative error.  An (m,) trajectory gives a
+    float, k trajectories as (k, m) rows give the (k,) errors.  Exact zeros
+    in the reference raise ZeroDenominatorError for the first one in
+    row-major order rather than being regularized.
     """
-    pred = np.asarray(pred, dtype=np.float64).ravel()
-    truth = np.asarray(truth, dtype=np.float64).ravel()
-    if pred.shape != truth.shape:
-        raise ValueError(f"length mismatch: pred {pred.shape[0]}, truth {truth.shape[0]}")
-    m = truth.shape[0]
-    if m == 0:
+    pred = np.asarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if pred.shape != truth.shape or truth.ndim not in (1, 2):
+        raise ValueError(f"pred {pred.shape} and truth {truth.shape} must share an (m,) or (k, m) shape")
+    if truth.size == 0:
         raise ValueError("empty trajectories")
-    zeros = np.flatnonzero(truth == 0.0)
+    zeros = np.argwhere(truth == 0.0)
     if zeros.size:
-        raise ZeroDenominatorError(int(zeros[0]))
-    return float((tf - t0) / m * np.sum(np.abs(pred - truth) / np.abs(truth)))
+        raise ZeroDenominatorError(int(zeros[0, -1]), sample=int(zeros[0, 0]) if truth.ndim == 2 else -1)
+    errors = (tf - t0) / truth.shape[-1] * np.sum(np.abs(pred - truth) / np.abs(truth), axis=-1)
+    return float(errors) if truth.ndim == 1 else errors
 
 
 def total_variation(traj: np.ndarray) -> float:
@@ -76,8 +78,8 @@ def total_variation(traj: np.ndarray) -> float:
 def error_stats(net: NetworkParams, norm: Normalizer, sample_set: SampleSet) -> ErrorReport:
     """Evaluate the surrogate on every sample and aggregate the errors.
 
-    Row i of ``errors`` is l1_relative_error of sample i, to the bit; the
-    first exact zero in row-major order raises ZeroDenominatorError.
+    ``errors`` is l1_relative_error of the (k, m) predictions and targets,
+    so row i is l1_relative_error of sample i, to the bit.
     """
     if sample_set.k == 0:
         raise ValueError("empty sample set")
@@ -87,12 +89,8 @@ def error_stats(net: NetworkParams, norm: Normalizer, sample_set: SampleSet) -> 
         raise ValueError(
             f"prediction width {preds.shape[1]} differs from target width {targets.shape[1]}"
         )
-    zeros = np.argwhere(targets == 0.0)
-    if zeros.size:
-        raise ZeroDenominatorError(int(zeros[0, 1]), sample=int(zeros[0, 0]))
-    t0, tf = sample_set.grid.t0, sample_set.grid.tf
+    errors = l1_relative_error(preds, targets, sample_set.grid.t0, sample_set.grid.tf)
     diff = preds - targets
-    errors = (tf - t0) / targets.shape[1] * np.sum(np.abs(diff) / np.abs(targets), axis=1)
     return ErrorReport(
         role=sample_set.role,
         errors=errors,

@@ -310,7 +310,6 @@ def integrate(
             if not newton.slow:
                 # retry once at the same step with a fresh Jacobian
                 newton.refresh(t_new, x_n)
-                newton.slow = True
                 x_new, converged, _ = newton.solve(t_new, x_pred, a0_h, hist)
             if not converged:
                 halvings += 1

@@ -189,15 +189,14 @@ def _check_input(net: NetworkParams, p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _forward_stack(net: NetworkParams, z: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Run the layer chain on normalized input; returns hidden activations and
-    the raw affine output (before denormalization)."""
+def _forward_stack(net: NetworkParams, z: np.ndarray) -> List[np.ndarray]:
+    """Run the hidden layers on normalized input; returns the input of every
+    layer, z first and the last hidden activations last."""
     acts = [z]
     for j in range(net.n_layers - 1):
         s = acts[-1] @ net.weights[j].T + net.biases[j]
         acts.append(transfer(net.hidden_transfer, s))
-    out = acts[-1] @ net.weights[-1].T + net.biases[-1]
-    return acts, out
+    return acts
 
 
 def _chain_is_cheaper(sizes: Sequence[int], k: int) -> bool:
@@ -222,8 +221,7 @@ def hidden_features(net: NetworkParams, norm: Normalizer, p: np.ndarray) -> np.n
     """Activations of the last hidden layer for a batch, shape (k, N_{J-1})."""
     p = _check_input(net, p)
     z = norm.normalize_in(np.atleast_2d(p))
-    acts, _ = _forward_stack(net, z)
-    return acts[-1]
+    return _forward_stack(net, z)[-1]
 
 
 class ForwardPass(NamedTuple):
@@ -326,8 +324,8 @@ def _forward_pass(
     p = np.atleast_2d(_check_input(net, params))
     z = norm.normalize_in(p)
     if net.hidden_transfer is not TransferKind.PURELIN or not _chain_is_cheaper(net.sizes, p.shape[0]):
-        acts, out = _forward_stack(net, z)
-        return ForwardPass(acts, norm.denormalize_out(out))
+        acts = _forward_stack(net, z)
+        return ForwardPass(acts, norm.denormalize_out(acts[-1] @ net.weights[-1].T + net.biases[-1]))
     x = np.hstack([z, np.ones((z.shape[0], 1))])
     prefix = _prefixes(net)
     return _ChainPass(x, prefix, norm.denormalize_out(x @ prefix[-1]))

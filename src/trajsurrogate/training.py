@@ -163,18 +163,17 @@ def _line_search(
     d: np.ndarray,
     loss0: float,
     slope0: float,
-    min_step: float,
     alpha0: float,
 ) -> Tuple[float, float, np.ndarray]:
     """Backtracking with quadratic interpolation under the Armijo condition.
 
     Returns (alpha, loss at alpha, the array w + alpha * d that loss_fn was
-    given).  Raises MinStepError when the step collapses below min_step.  On
+    given).  Raises MinStepError when the step collapses below MIN_STEP.  On
     an accepted trial one interpolation step refines toward the 1-D minimum,
     which is exact for quadratic objectives.
     """
     c1 = 1e-4
-    alpha = max(alpha0, min_step)
+    alpha = max(alpha0, MIN_STEP)
     for _ in range(60):
         w1 = w + alpha * d
         f1 = float(loss_fn(w1))
@@ -189,8 +188,8 @@ def _line_search(
                     return aq, fq, wq
             return alpha, f1, w1
         alpha = float(np.clip(aq if math.isfinite(aq) else 0.5 * alpha, 0.1 * alpha, 0.5 * alpha))
-        if alpha < min_step:
-            raise MinStepError(f"line-search step {alpha:.3e} below floor {min_step:.3e}")
+        if alpha < MIN_STEP:
+            raise MinStepError(f"line-search step {alpha:.3e} below floor {MIN_STEP:.3e}")
     raise MinStepError("line search exhausted its evaluation budget")
 
 
@@ -208,7 +207,7 @@ def _descend(state: OptState, d: np.ndarray) -> None:
         alpha0 = state.alpha_prev * min(10.0, max(0.1, state.slope_prev / slope))
     else:
         alpha0 = 1.0 / max(1.0, float(np.max(np.abs(g))))
-    alpha, f_new, state.w = _line_search(state.loss_fn, state.w, d, state.loss, slope, MIN_STEP, alpha0)
+    alpha, f_new, state.w = _line_search(state.loss_fn, state.w, d, state.loss, slope, alpha0)
     state.grad_prev = g
     state.direction = d
     state.slope_prev = slope
@@ -310,14 +309,10 @@ def early_stop_check(valid_history: Sequence[float], patience: int) -> bool:
 
 
 def _check_compatible(
-    net: NetworkParams,
-    train_set: SampleSet,
-    valid_set: SampleSet,
-    test_set: Optional[SampleSet],
+    net: NetworkParams, train_set: SampleSet, valid_set: SampleSet, test_set: SampleSet
 ) -> None:
-    sets = [s for s in (train_set, valid_set, test_set) if s is not None]
     q, m = train_set.q, train_set.grid.m
-    for s in sets:
+    for s in (train_set, valid_set, test_set):
         if s.q != q or s.grid.m != m:
             raise ConfigMismatchError(f"{s.role} set has q={s.q}, m={s.grid.m}; expected q={q}, m={m}")
         if (s.grid.t0, s.grid.tf) != (train_set.grid.t0, train_set.grid.tf):
@@ -333,11 +328,12 @@ def train(
     norm: Normalizer,
     train_set: SampleSet,
     valid_set: SampleSet,
-    test_set: Optional[SampleSet],
+    test_set: SampleSet,
     cfg: TrainConfig,
 ) -> Tuple[NetworkParams, TrainRecord]:
     """Run the configured method full-batch and return the weights of the
     epoch with the lowest validation MSE (the initial weights count as epoch 0).
+    All three sets are required; the test MSE is recorded and steers nothing.
 
     Every set must be non-empty (ValueError) and finite (NonFiniteLossError
     naming its role); both are checked before anything is evaluated.
@@ -362,8 +358,7 @@ def train(
     """
     _check_compatible(net, train_set, valid_set, test_set)
 
-    roles = (("train", train_set), ("valid", valid_set), ("test", test_set))
-    sets = {key: s for key, s in roles if s is not None}
+    sets = {"train": train_set, "valid": valid_set, "test": test_set}
     for s in sets.values():
         if s.k == 0:
             raise ValueError(f"empty sample set ({s.role})")
@@ -422,7 +417,7 @@ def train(
             stop = StopReason.MIN_STEP
             break
         v = mse_at(state.w, "valid")
-        te = mse_at(state.w, "test") if test_set is not None else math.nan
+        te = mse_at(state.w, "test")
         if not (math.isfinite(state.loss) and math.isfinite(v)):
             raise NonFiniteLossError(f"non-finite loss at epoch {epoch}")
         mse_train.append(state.loss)

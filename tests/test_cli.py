@@ -462,6 +462,20 @@ def test_misshaped_plugin_is_a_config_error_before_any_solve(tmp_path, capsys, o
     assert not list(tmp_path.glob("**/*.ds"))
 
 
+@pytest.mark.parametrize("system, tf", [("unbounded_decay", "inf"), ("nan_end_decay", "nan")])
+def test_non_finite_time_span_is_a_config_error_before_any_solve(tmp_path, capsys, system, tf):
+    config = write_config(
+        tmp_path, tmp_path / "run", system=f"test_dataset:{system}",
+        domain={"lower": [0.5], "upper": [2.0]}, grid={"m": 4},
+    )
+    assert main(["generate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: ConfigError: system factory 'test_dataset:{system}': "
+        f"t0 and tf must be finite with t0 < tf, not t0=0.0, tf={tf}"
+    )
+    assert not list(tmp_path.rglob("*.ds"))
+
+
 @pytest.mark.parametrize("field, bad, name", [
     ("mass", lambda p: np.eye(2), "mass"),
     ("initial", lambda p: np.zeros(4), "initial"),

@@ -69,6 +69,16 @@ def parametric_decay(tf: float = 1.0) -> SystemSpec:
     )
 
 
+def unbounded_decay() -> SystemSpec:
+    """parametric_decay on [0, inf): refused at construction."""
+    return parametric_decay(tf=math.inf)
+
+
+def nan_end_decay() -> SystemSpec:
+    """parametric_decay ending at NaN: refused at construction."""
+    return parametric_decay(tf=math.nan)
+
+
 def _blowup_rhs(t, x, p):
     return p[0] * x * x
 

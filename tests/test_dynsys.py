@@ -102,6 +102,15 @@ def test_domain_rejects_non_finite_bounds():
             ParameterDomain(lower, upper)
 
 
+@pytest.mark.parametrize("t0, tf", [
+    (0.0, math.inf), (0.0, math.nan), (-math.inf, 0.5), (math.nan, 0.5), (0.5, 0.5), (0.5, 0.0),
+])
+def test_system_rejects_non_finite_or_empty_time_span(t0, tf):
+    circuit = circuit_system()
+    with pytest.raises(ValueError, match="t0 and tf must be finite with t0 < tf"):
+        SystemSpec(circuit.dim, circuit.mass, circuit.rhs, circuit.qoi, circuit.initial, t0, tf)
+
+
 def test_circuit_mass_and_algebraic_rows():
     spec = circuit_system()
     p = default_domain().midpoint()

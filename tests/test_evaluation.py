@@ -45,6 +45,20 @@ def test_zero_denominator_reports_index():
     assert err.value.index == 1
 
 
+def test_rows_reduce_along_the_last_axis():
+    rng = np.random.default_rng(2)
+    truth = rng.uniform(0.5, 2.0, (3, 7))
+    pred = truth + rng.uniform(-0.1, 0.1, (3, 7))
+    rows = l1_relative_error(pred, truth, 0.0, 0.5)
+    assert rows.shape == (3,)
+    assert rows.tobytes() == np.array([l1_relative_error(p, t, 0.0, 0.5) for p, t in zip(pred, truth)]).tobytes()
+    # the first zero in row-major order names its row and grid index
+    truth[1, 4] = truth[2, 0] = 0.0
+    with pytest.raises(ZeroDenominatorError) as err:
+        l1_relative_error(pred, truth, 0.0, 0.5)
+    assert (err.value.sample, err.value.index) == (1, 4)
+
+
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         l1_relative_error(np.ones(3), np.ones(4), 0.0, 0.5)
