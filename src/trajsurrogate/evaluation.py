@@ -40,10 +40,6 @@ class ErrorReport:
     mse: float                    # raw-unit mean squared error
     min_abs_target: np.ndarray    # (k,) smallest |y| per sample, flags near-zeros
 
-    def __post_init__(self):
-        object.__setattr__(self, "errors", np.asarray(self.errors, dtype=np.float64))
-        object.__setattr__(self, "min_abs_target", np.asarray(self.min_abs_target, dtype=np.float64))
-
 
 def l1_relative_error(pred: np.ndarray, truth: np.ndarray, t0: float, tf: float) -> Union[float, np.ndarray]:
     """Time-weighted sum of pointwise relative deviations along the last axis.
@@ -112,19 +108,15 @@ def write_report_csv(report: ErrorReport, path: Union[str, Path]) -> None:
 
 def format_error_table(reports: Dict[str, Dict[str, ErrorReport]]) -> str:
     """Text table: one mean block and one st.dev. block, nets as rows and
-    sample sets as columns."""
-    roles = [r for r in ROLES if any(r in by_role for by_role in reports.values())]
+    the three sample sets as columns."""
     label_width = max([len(label) for label in reports] + [8])
-    header = "  ".join([" " * label_width] + [f"{r:>12}" for r in roles])
+    header = "  ".join([" " * label_width] + [f"{r:>12}" for r in ROLES])
     lines: List[str] = []
     for block, attr in (("mean", "mean"), ("st.dev.", "stdev")):
         lines.append(block)
         lines.append(header)
         for label, by_role in reports.items():
-            cells = []
-            for r in roles:
-                rep = by_role.get(r)
-                cells.append(f"{getattr(rep, attr):>12.3f}" if rep is not None else " " * 12)
+            cells = [f"{getattr(by_role[r], attr):>12.3f}" for r in ROLES]
             lines.append("  ".join([f"{label:<{label_width}}"] + cells))
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"

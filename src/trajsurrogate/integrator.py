@@ -31,6 +31,7 @@ _NEWTON_MAX_ITER = 7
 _NEWTON_KAPPA = 0.33  # accept when weighted update norm drops below this
 _MAX_STEP_HALVINGS = 3
 _MIN_STEP = 1e-14  # a step below this (other than the final clamp) is an underflow
+_MAX_STEPS = 1_000_000  # step attempts per solve, rejected and halved ones included
 
 # LAPACK solve of one square system, without np.linalg.solve's per-call checks;
 # a singular matrix gives NaN (and sets the invalid flag) instead of LinAlgError
@@ -63,13 +64,10 @@ class ToleranceSettings:
 
     rtol: float = 1e-4
     atol: float = 1e-6
-    max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
         if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
             raise ValueError("rtol and atol must be finite and positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -84,8 +82,8 @@ class TimeGrid:
     m: int
 
     def __post_init__(self) -> None:
-        if self.tf <= self.t0:
-            raise ValueError("tf must exceed t0")
+        if not -math.inf < self.t0 < self.tf < math.inf:
+            raise ValueError(f"t0 and tf must be finite with t0 < tf, not t0={self.t0!r}, tf={self.tf!r}")
         if self.m < 1:
             raise ValueError("m must be at least 1")
 
@@ -218,11 +216,9 @@ class _Newton:
         self.atol = tol.atol
         self.rtol = tol.rtol
         self.jac: Optional[np.ndarray] = None  # set by refresh before the first solve
-        self.slow = False  # convergence degraded on the last attempt
 
     def refresh(self, t: float, x: list) -> None:
         self.jac = self.spec.state_jacobian(t, np.array(x), self.p)
-        self.slow = False
 
     def solve(self, t_new: float, x_pred: list, a0_h: float, hist: list):
         """Return (x, converged, iterations)."""
@@ -256,7 +252,6 @@ class _Newton:
 
                 dnorm = max([abs(lam * d) / (atol + rtol * abs(a)) for d, a in zip(dx, x)])
                 if dnorm < _NEWTON_KAPPA:
-                    self.slow = it >= 4
                     return x, True, it
                 if dnorm > 2.0 * prev_norm:
                     return x, False, it  # diverging
@@ -292,8 +287,8 @@ def integrate(
     halvings = 0
 
     while t < spec.tf:
-        if attempts >= tol.max_steps:
-            raise StepBudgetExceededError(f"exceeded {tol.max_steps} step attempts at t={t:.6g}")
+        if attempts >= _MAX_STEPS:
+            raise StepBudgetExceededError(f"exceeded {_MAX_STEPS} step attempts at t={t:.6g}")
         attempts += 1
 
         clamped = t + h >= spec.tf
@@ -304,13 +299,13 @@ def integrate(
 
         order, x_pred, a0_h, hist = _predict(times, states, derivs, t_new, h_eff)
         x_n = states[-1]
-        x_new, converged, _ = newton.solve(t_new, x_pred, a0_h, hist)
+        x_new, converged, iters = newton.solve(t_new, x_pred, a0_h, hist)
 
+        # the Jacobian is reused across steps and formed afresh when Newton fails
+        # (one retry at the same step) or converges in 4 or more iterations
         if not converged:
-            if not newton.slow:
-                # retry once at the same step with a fresh Jacobian
-                newton.refresh(t_new, x_n)
-                x_new, converged, _ = newton.solve(t_new, x_pred, a0_h, hist)
+            newton.refresh(t_new, x_n)
+            x_new, converged, iters = newton.solve(t_new, x_pred, a0_h, hist)
             if not converged:
                 halvings += 1
                 if halvings > _MAX_STEP_HALVINGS:
@@ -321,7 +316,7 @@ def integrate(
                 newton.refresh(t, x_n)
                 continue
         halvings = 0
-        if newton.slow:
+        if iters >= 4:
             newton.refresh(t_new, x_new)
 
         c = _ERR_CONST[order]

@@ -84,6 +84,11 @@ class NetworkParams:
     def n_layers(self) -> int:
         return len(self.weights)
 
+    @property
+    def affine(self) -> bool:
+        """Whether the net is an affine map of its input: no hidden layer, or purelin ones."""
+        return self.n_layers == 1 or self.hidden_transfer is TransferKind.PURELIN
+
     def copy(self) -> "NetworkParams":
         return NetworkParams(
             [w.copy() for w in self.weights], [b.copy() for b in self.biases], self.hidden_transfer
@@ -300,8 +305,7 @@ class _FactoredPass(NamedTuple):
 
 def _factored_pass(net: NetworkParams, f: OutputFactors) -> _FactoredPass:
     n, m = f.r.shape[1] - 1, f.d.shape[0]
-    affine = net.n_layers == 1 or net.hidden_transfer is TransferKind.PURELIN
-    if not affine or (net.sizes[0], net.sizes[-1]) != (n, m):
+    if not net.affine or (net.sizes[0], net.sizes[-1]) != (n, m):
         raise DimensionMismatchError(
             f"factored set needs an affine {n} -> {m} net, not {net.hidden_transfer.value} {net.sizes}"
         )
@@ -464,6 +468,12 @@ def init_weights(sizes: Sequence[int], kind: TransferKind, seed: RngSeed) -> Net
     return NetworkParams(weights, biases, kind)
 
 
+def _check_finite(net: NetworkParams) -> None:
+    """The rule of the model file: every weight and bias is finite."""
+    if not all(np.all(np.isfinite(a)) for a in net.weights + net.biases):
+        raise ValueError("non-finite weights or biases")
+
+
 def save_model(
     net: NetworkParams,
     norm: Normalizer,
@@ -471,9 +481,7 @@ def save_model(
     metadata: Optional[Dict] = None,
 ) -> None:
     """Write the self-describing binary model container."""
-    for w in net.weights + net.biases:
-        if not np.all(np.isfinite(w)):
-            raise ValueError("refusing to save non-finite weights")
+    _check_finite(net)
     sizes = net.sizes
     parts = [
         _MAGIC,
@@ -517,5 +525,7 @@ def load_model(path: Union[str, Path]) -> Tuple[NetworkParams, Normalizer, Dict]
         (meta_len,) = reader.unpack("<I")
         metadata = json.loads(reader.take(meta_len).decode("utf-8"))
         reader.expect_end()
-        return NetworkParams(weights, biases, kind), norm, metadata
+        net = NetworkParams(weights, biases, kind)
+        _check_finite(net)
+        return net, norm, metadata
 

@@ -367,10 +367,9 @@ def train(
     frozen = net.n_layers - 1 if net.hidden_transfer is TransferKind.HARDLIM else 0  # untrained hidden layers
     # `work` only lends its shapes to the views; the caller's arrays stay as they are
     work = NetworkParams(net.weights[frozen:], net.biases[frozen:], net.hidden_transfer)
-    affine = work.n_layers == 1 or work.hidden_transfer is TransferKind.PURELIN
     inputs = {
         key: OutputFactors.of(hidden_features(net, norm, s.params) if frozen else norm.normalize_in(s.params),
-                              norm, s.targets) if affine else s.params
+                              norm, s.targets) if work.affine else s.params
         for key, s in sets.items()
     }
 

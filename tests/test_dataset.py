@@ -324,7 +324,7 @@ def test_parallel_generation_matches_serial():
 def test_abort_reports_first_failing_row(monkeypatch):
     spec = blowup_system()
     grid = TimeGrid.for_system(spec, m=4)
-    tol = ToleranceSettings(max_steps=3000)
+    tol = ToleranceSettings()
     params = np.array([[0.1], [5.0], [0.2], [8.0]])
     with pytest.raises(TargetGenerationError) as err:
         generate_targets(spec, params, grid, tol, on_failure="abort", workers=2)
@@ -396,7 +396,7 @@ def test_unpicklable_system_fails_before_any_solve(monkeypatch, pool_sizes):
 def test_skip_leaves_nan_rows():
     spec = blowup_system()
     grid = TimeGrid.for_system(spec, m=4)
-    tol = ToleranceSettings(max_steps=3000)
+    tol = ToleranceSettings()
     params = np.array([[0.1], [5.0], [0.2], [8.0]])
     targets = generate_targets(spec, params, grid, tol, on_failure="skip")
     assert failed_rows(targets).tolist() == [1, 3]
@@ -538,7 +538,8 @@ def test_load_rejects_fields_the_objects_refuse(tmp_path):
     unknown_role = raw.replace(b"train", b"trian", 1)
     unknown_stream = raw.replace(b"sampling", b"samplinG", 1)
     empty_span = raw[:29] + struct.pack("<dd", 1.0, 1.0) + raw[45:]
-    for corrupt in (unknown_role, unknown_stream, empty_span):
+    nan_start = raw[:29] + struct.pack("<d", math.nan) + raw[37:]
+    for corrupt in (unknown_role, unknown_stream, empty_span, nan_start):
         path.write_bytes(corrupt)
         with pytest.raises(DatasetFormatError) as err:
             load_dataset(path)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import coupled_dae, decay_system, full_mass_ode
+from trajsurrogate import integrator
 from trajsurrogate.dynsys import PluginResultError, SystemSpec, circuit_system, default_domain
 from trajsurrogate.integrator import (
     GridOutsidePathError,
@@ -53,22 +54,25 @@ def test_time_grid_validation():
         TimeGrid(1.0, 1.0, 10)
     with pytest.raises(ValueError):
         TimeGrid(0.0, 1.0, 0)
+    # a non-finite end would put inf or NaN on every grid point
+    for t0, tf in ((0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(t0, tf, 4)
 
 
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         ToleranceSettings(rtol=-1e-4)
-    with pytest.raises(ValueError):
-        ToleranceSettings(max_steps=0)
     # a tolerance built in code meets the same finiteness rule as a config's
     for bad in ({"rtol": math.inf}, {"atol": math.nan}):
         with pytest.raises(ValueError, match="finite and positive"):
             ToleranceSettings(**bad)
 
 
-def test_step_budget_ends_the_solve():
+def test_step_budget_ends_the_solve(monkeypatch):
+    monkeypatch.setattr(integrator, "_MAX_STEPS", 5)
     with pytest.raises(StepBudgetExceededError, match="^exceeded 5 step attempts at t="):
-        integrate(decay_system(), None, ToleranceSettings(max_steps=5))
+        integrate(decay_system(), None, ToleranceSettings())
 
 
 def test_decay_against_closed_form():

@@ -489,7 +489,10 @@ def test_model_load_rejects_corruption(tmp_path):
     # the layer count and three widths follow; then in_min = [-1, -1], whose second entry turns NaN
     assert raw[28:44] == np.array([-1.0, -1.0], "<f8").tobytes()
     nan_range = raw[:36] + np.array([np.nan], "<f8").tobytes() + raw[44:]
-    for corrupt in (raw[:-2] + b"{]", raw[:8] + b"tansi\xff" + raw[14:], no_layers, nan_range):
+    # the four ranges take 64 bytes; the first weight follows, and save_model refuses a NaN there
+    assert raw[92:100] == net.weights[0][0, :1].astype("<f8").tobytes()
+    nan_weight = raw[:92] + np.array([np.nan], "<f8").tobytes() + raw[100:]
+    for corrupt in (raw[:-2] + b"{]", raw[:8] + b"tansi\xff" + raw[14:], no_layers, nan_range, nan_weight):
         bad.write_bytes(corrupt)
         with pytest.raises(ModelFormatError) as err:
             load_model(bad)
