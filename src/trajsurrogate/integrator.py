@@ -206,13 +206,20 @@ class _Newton:
     Iterates, steps and residuals are lists of floats.  The rhs, the Jacobian,
     the mass product and the linear solve take and give NumPy arrays, whose
     bits (a matrix product's summation order) a Python sum would not keep.
+    The mass is held C-contiguous, so that the product's bits do not follow
+    the plug-in's memory layout.
+
+    A caller of ``solve`` provides ``np.errstate(invalid="ignore")``: the step
+    loops of ``integrate`` and ``integrate_fixed_step`` set it once per solve,
+    around every ``refresh`` and ``solve``.  A NaN (inf trial state, singular
+    solve, Jacobian) then fails the finite checks instead of warning or raising.
     """
 
     def __init__(self, spec: SystemSpec, p: np.ndarray, mass: np.ndarray, tol: ToleranceSettings):
         self.spec = spec
         self.f = spec.f
         self.p = p
-        self.mass = mass
+        self.mass = np.ascontiguousarray(mass)
         self.atol = tol.atol
         self.rtol = tol.rtol
         self.jac: Optional[np.ndarray] = None  # set by refresh before the first solve
@@ -222,46 +229,45 @@ class _Newton:
 
     def solve(self, t_new: float, x_pred: list, a0_h: float, hist: list):
         """Return (x, converged, iterations)."""
-        with np.errstate(invalid="ignore"):  # NaNs from inf trials or singular solves fail the finite checks
-            iter_matrix = a0_h * self.mass - self.jac
+        iter_matrix = a0_h * self.mass - self.jac
 
-            x = x_pred
-            resid = self._try_residual(t_new, x, a0_h, hist)
-            if resid is None:
-                return x, False, 0
+        x = x_pred
+        resid = self._try_residual(t_new, x, a0_h, hist)
+        if resid is None:
+            return x, False, 0
 
-            atol, rtol = self.atol, self.rtol
-            prev_norm = math.inf
-            for it in range(1, _NEWTON_MAX_ITER + 1):
-                dx = _solve1(iter_matrix, -np.array(resid)).tolist()
-                if not all(map(math.isfinite, dx)):
-                    return x, False, it  # singular iteration matrix or overflow
+        atol, rtol = self.atol, self.rtol
+        prev_norm = math.inf
+        for it in range(1, _NEWTON_MAX_ITER + 1):
+            dx = _solve1(iter_matrix, np.array([-r for r in resid])).tolist()
+            if not all(map(math.isfinite, dx)):
+                return x, False, it  # singular iteration matrix or overflow
 
-                # damp the update until the residual is evaluable and finite
-                lam = 1.0
-                for _ in range(8):
-                    x_trial = [a + lam * d for a, d in zip(x, dx)]
-                    trial_resid = self._try_residual(t_new, x_trial, a0_h, hist)
-                    if trial_resid is not None:
-                        break
-                    lam *= 0.5
-                else:
-                    return x, False, it
-                x = x_trial
-                resid = trial_resid
+            # damp the update until the residual is evaluable and finite
+            lam = 1.0
+            for _ in range(8):
+                x_trial = [a + lam * d for a, d in zip(x, dx)]
+                trial_resid = self._try_residual(t_new, x_trial, a0_h, hist)
+                if trial_resid is not None:
+                    break
+                lam *= 0.5
+            else:
+                return x, False, it
+            x = x_trial
+            resid = trial_resid
 
-                dnorm = max([abs(lam * d) / (atol + rtol * abs(a)) for d, a in zip(dx, x)])
-                if dnorm < _NEWTON_KAPPA:
-                    return x, True, it
-                if dnorm > 2.0 * prev_norm:
-                    return x, False, it  # diverging
-                prev_norm = dnorm
-            return x, False, _NEWTON_MAX_ITER
+            dnorm = max([abs(lam * d) / (atol + rtol * abs(a)) for d, a in zip(dx, x)])
+            if dnorm < _NEWTON_KAPPA:
+                return x, True, it
+            if dnorm > 2.0 * prev_norm:
+                return x, False, it  # diverging
+            prev_norm = dnorm
+        return x, False, _NEWTON_MAX_ITER
 
     def _try_residual(self, t, x, a0_h, hist) -> Optional[list]:
         # hist holds (a1*x_n + a2*x_{n-1})/h so xdot = a0_h*x + hist
         try:
-            m_xdot = self.mass @ np.array([a0_h * a + b for a, b in zip(x, hist)])
+            m_xdot = self.mass.dot(np.array([a0_h * a + b for a, b in zip(x, hist)]))
             f = self.f(t, np.array(x), self.p)
         except (FloatingPointError, OverflowError):
             return None
@@ -283,53 +289,57 @@ def integrate(
 
     t = spec.t0
     h = _initial_step(spec, x0, slope0, tol)
+    atol, rtol = tol.atol, tol.rtol
     attempts = 0
     halvings = 0
 
-    while t < spec.tf:
-        if attempts >= _MAX_STEPS:
-            raise StepBudgetExceededError(f"exceeded {_MAX_STEPS} step attempts at t={t:.6g}")
-        attempts += 1
+    with np.errstate(invalid="ignore"):
+        while t < spec.tf:
+            if attempts >= _MAX_STEPS:
+                raise StepBudgetExceededError(f"exceeded {_MAX_STEPS} step attempts at t={t:.6g}")
+            attempts += 1
 
-        clamped = t + h >= spec.tf
-        h_eff = spec.tf - t if clamped else h
-        if h_eff < _MIN_STEP and not clamped:
-            raise StepUnderflowError(f"step {h_eff:.3e} below the step floor {_MIN_STEP:.3e} at t={t:.6g}")
-        t_new = spec.tf if clamped else t + h_eff
+            clamped = t + h >= spec.tf
+            h_eff = spec.tf - t if clamped else h
+            if h_eff < _MIN_STEP and not clamped:
+                raise StepUnderflowError(
+                    f"step {h_eff:.3e} below the step floor {_MIN_STEP:.3e} at t={t:.6g}"
+                )
+            t_new = spec.tf if clamped else t + h_eff
 
-        order, x_pred, a0_h, hist = _predict(times, states, derivs, t_new, h_eff)
-        x_n = states[-1]
-        x_new, converged, iters = newton.solve(t_new, x_pred, a0_h, hist)
-
-        # the Jacobian is reused across steps and formed afresh when Newton fails
-        # (one retry at the same step) or converges in 4 or more iterations
-        if not converged:
-            newton.refresh(t_new, x_n)
+            order, x_pred, a0_h, hist = _predict(times, states, derivs, t_new, h_eff)
+            x_n = states[-1]
             x_new, converged, iters = newton.solve(t_new, x_pred, a0_h, hist)
+
+            # the Jacobian is reused across steps and formed afresh when Newton fails
+            # (one retry at the same step) or converges in 4 or more iterations
             if not converged:
-                halvings += 1
-                if halvings > _MAX_STEP_HALVINGS:
-                    raise NewtonDivergenceError(
-                        f"Newton failed after {_MAX_STEP_HALVINGS} step halvings at t={t:.6g}"
-                    )
-                h = h_eff * 0.5
-                newton.refresh(t, x_n)
-                continue
-        halvings = 0
-        if iters >= 4:
-            newton.refresh(t_new, x_new)
+                newton.refresh(t_new, x_n)
+                x_new, converged, iters = newton.solve(t_new, x_pred, a0_h, hist)
+                if not converged:
+                    halvings += 1
+                    if halvings > _MAX_STEP_HALVINGS:
+                        raise NewtonDivergenceError(
+                            f"Newton failed after {_MAX_STEP_HALVINGS} step halvings at t={t:.6g}"
+                        )
+                    h = h_eff * 0.5
+                    newton.refresh(t, x_n)
+                    continue
+            halvings = 0
+            if iters >= 4:
+                newton.refresh(t_new, x_new)
 
-        c = _ERR_CONST[order]
-        err_norm = max([abs(c * (a - b)) / (tol.atol + tol.rtol * max(abs(n), abs(a)))
-                        for a, b, n in zip(x_new, x_pred, x_n)])
+            c = _ERR_CONST[order]
+            err_norm = max([abs(c * (a - b)) / (atol + rtol * max(abs(n), abs(a)))
+                            for a, b, n in zip(x_new, x_pred, x_n)])
 
-        factor = min(5.0, max(0.2, 0.9 * max(err_norm, 1e-10) ** (-1.0 / (order + 1))))
-        h = h_eff * factor
-        if err_norm <= 1.0:
-            times.append(t_new)
-            states.append(x_new)
-            derivs.append([a0_h * a + b for a, b in zip(x_new, hist)])
-            t = t_new
+            factor = min(5.0, max(0.2, 0.9 * max(err_norm, 1e-10) ** (-1.0 / (order + 1))))
+            h = h_eff * factor
+            if err_norm <= 1.0:
+                times.append(t_new)
+                states.append(x_new)
+                derivs.append([a0_h * a + b for a, b in zip(x_new, hist)])
+                t = t_new
 
     return SolutionPath(
         times=np.array(times), states=np.array(states), derivs=np.array(derivs), algebraic=alg
@@ -348,6 +358,8 @@ def integrate_fixed_step(
     The step count is round((tf - t0)/h); h must divide the span to float
     accuracy.  Used for observed-order studies.
     """
+    if not 0 < h < math.inf:
+        raise ValueError(f"h must be finite and positive, not h={h!r}")
     n_steps = int(round((spec.tf - spec.t0) / h))
     if abs(spec.t0 + n_steps * h - spec.tf) > 1e-9 * (spec.tf - spec.t0):
         raise ValueError("h must divide the time span")
@@ -355,16 +367,17 @@ def integrate_fixed_step(
     times, states, derivs = [spec.t0], [x0.tolist()], [slope0.tolist()]
 
     newton = _Newton(spec, p, mass, tol)
-    for k in range(1, n_steps + 1):
-        t_new = spec.t0 + k * h
-        newton.refresh(times[-1], states[-1])
-        _, x_pred, a0_h, hist = _predict(times, states, derivs, t_new, h)
-        x_new, converged, _ = newton.solve(t_new, x_pred, a0_h, hist)
-        if not converged:
-            raise NewtonDivergenceError(f"fixed-step Newton failed at t={t_new:.6g}")
-        times.append(t_new)
-        states.append(x_new)
-        derivs.append([a0_h * a + b for a, b in zip(x_new, hist)])
+    with np.errstate(invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            t_new = spec.t0 + k * h
+            newton.refresh(times[-1], states[-1])
+            _, x_pred, a0_h, hist = _predict(times, states, derivs, t_new, h)
+            x_new, converged, _ = newton.solve(t_new, x_pred, a0_h, hist)
+            if not converged:
+                raise NewtonDivergenceError(f"fixed-step Newton failed at t={t_new:.6g}")
+            times.append(t_new)
+            states.append(x_new)
+            derivs.append([a0_h * a + b for a, b in zip(x_new, hist)])
 
     return SolutionPath(
         times=np.array(times), states=np.array(states), derivs=np.array(derivs), algebraic=alg

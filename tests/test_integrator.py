@@ -1,5 +1,6 @@
 """Adaptive BDF integrator: error control, DAE handling, dense output."""
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -243,7 +244,8 @@ def test_singular_iteration_matrix_fails_quietly(errstate):
         spec.jac(0.0, x_pred, None)  # spend the start-up Jacobian
         newton.refresh(0.1, x_pred)
         assert np.linalg.matrix_rank(10.0 * mass - newton.jac) == 1
-        x, converged, iterations = newton.solve(0.1, x_pred.tolist(), 10.0, (-x_pred / 0.1).tolist())
+        with np.errstate(invalid="ignore"):  # the drivers' state around solve
+            x, converged, iterations = newton.solve(0.1, x_pred.tolist(), 10.0, (-x_pred / 0.1).tolist())
         assert (list(x), converged, iterations) == (x_pred.tolist(), False, 1)
         with pytest.raises(NewtonDivergenceError):
             integrate(_singular_after_start(), None, ToleranceSettings())
@@ -266,8 +268,8 @@ def test_newton_rejects_overflowing_and_infinite_trial_states():
         # -(x1 + x3) rounds to +inf, so diode_current returns inf and the residual is not finite
         assert newton._try_residual(0.1, [-big, 0.0, -big], 0.5, hist) is None
         # a state at +-inf: the mass product 0*inf is invalid, which errstate raises as
-        # FloatingPointError; solve ignores invalid operations throughout, so under the
-        # default errstate it rejects such a start without a warning
+        # FloatingPointError; under the drivers' errstate, which ignores invalid
+        # operations, solve rejects such a start without a warning
         newton.refresh(0.1, hist)
         for inf in (math.inf, -math.inf):
             for i in range(3):
@@ -275,7 +277,8 @@ def test_newton_rejects_overflowing_and_infinite_trial_states():
                 x[i] = inf
                 with np.errstate(all="raise"):
                     assert newton._try_residual(0.1, x, 10.0, hist) is None, x
-                assert newton.solve(0.1, x, 10.0, hist) == (x, False, 0), x
+                with np.errstate(invalid="ignore"):
+                    assert newton.solve(0.1, x, 10.0, hist) == (x, False, 0), x
 
 
 def _listed(spec: SystemSpec) -> SystemSpec:
@@ -288,6 +291,67 @@ def _listed(spec: SystemSpec) -> SystemSpec:
         rhs=lambda t, x, p: spec.rhs(t, x, p).tolist(),
         jac=None if jac is None else lambda t, x, p: jac(t, x, p).tolist(),
     )
+
+
+@pytest.mark.parametrize("errstate", [{}, {"all": "raise"}])
+def test_drivers_restore_the_callers_floating_point_state(errstate, monkeypatch):
+    def over_budget():
+        with monkeypatch.context() as patch:
+            patch.setattr(integrator, "_MAX_STEPS", 5)
+            integrate(decay_system(), None, ToleranceSettings())
+
+    runs = [
+        (lambda: integrate(decay_system(), None, ToleranceSettings()), None),
+        (lambda: integrate_fixed_step(decay_system(), None, 0.05), None),
+        (lambda: integrate(_singular_after_start(), None, ToleranceSettings()), NewtonDivergenceError),
+        (lambda: integrate_fixed_step(_singular_after_start(), None, 0.1), NewtonDivergenceError),
+        (over_budget, StepBudgetExceededError),
+    ]
+    with np.errstate(**errstate):
+        before = np.geterr()
+        for run, error in runs:
+            with pytest.raises(error) if error else contextlib.nullcontext():
+                run()
+            assert np.geterr() == before, (run, error)
+
+
+@pytest.mark.parametrize("errstate", [{}, {"all": "raise"}])
+def test_invalid_jacobian_is_a_newton_failure(errstate):
+    spec = decay_system()
+
+    def jac(t, x, p):
+        inf = np.full((1, 1), math.inf)
+        return spec.jac(t, x, p) + (inf - inf) if t > 0.3 else spec.jac(t, x, p)
+
+    with np.errstate(**errstate), pytest.raises(NewtonDivergenceError, match="at t=0.35$"):
+        integrate_fixed_step(dataclasses.replace(spec, jac=jac), None, 0.05)
+
+
+def _draw(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 3, shape)
+
+
+def test_mass_product_rounding_facts():
+    rng = np.random.default_rng(29)
+    for n in range(1, 5):
+        for _ in range(500):
+            layouts = {"C": _draw(rng, (n, n)), "F": np.asfortranarray(_draw(rng, (n, n))),
+                       "transposed": _draw(rng, (n, n)).T, "strided": _draw(rng, (2 * n, 3 * n))[::2, ::3]}
+            for layout, m in layouts.items():
+                v = _draw(rng, n)
+                # .dot is @ on a contiguous mass; a strided one goes to BLAS as a
+                # C-contiguous copy, where @ runs NumPy's own loop
+                same = np.ascontiguousarray(m) if layout == "strided" else m
+                assert m.dot(v).tobytes() == (same @ v).tobytes(), (n, layout)
+        # a (k, n, n) @ (k, n, 1) stack of C-ordered masses rounds as the per-row product
+        for _ in range(100):
+            ms = _draw(rng, (50, n, n))
+            vs = _draw(rng, (50, n, 1))
+            rows = np.stack([m.dot(v) for m, v in zip(ms, vs)])
+            assert np.matmul(ms, vs).tobytes() == rows.tobytes()
+    spec = full_mass_ode()
+    mass = np.asfortranarray(spec.mass(None))
+    assert _Newton(spec, None, mass, ToleranceSettings()).mass.flags.c_contiguous
 
 
 def test_plugin_callables_may_return_lists():
@@ -323,6 +387,12 @@ def test_fixed_step_requires_divisible_span():
     spec = decay_system()
     with pytest.raises(ValueError):
         integrate_fixed_step(spec, None, 0.3, ToleranceSettings())
+
+
+@pytest.mark.parametrize("h", [-0.1, 0.0, math.nan, math.inf])
+def test_fixed_step_refuses_a_step_that_is_not_finite_and_positive(h):
+    with pytest.raises(ValueError, match=r"h must be finite and positive, not h="):
+        integrate_fixed_step(decay_system(), None, h, ToleranceSettings())
 
 
 def test_resample_matches_closed_form_between_knots():
