@@ -178,8 +178,16 @@ def failed_rows(targets: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.isnan(targets).any(axis=1))
 
 
+def _check_finite(sample_set: SampleSet) -> None:
+    """The rule of the dataset file: every parameter and target is finite."""
+    if not (np.isfinite(sample_set.params).all() and np.isfinite(sample_set.targets).all()):
+        raise ValueError("non-finite parameters or targets")
+
+
 def save_dataset(sample_set: SampleSet, path: Union[str, Path]) -> None:
-    """Write the binary container; lossless round-trip with load_dataset."""
+    """Write the binary container; lossless round-trip with load_dataset.
+    A non-finite parameter or target is a ValueError."""
+    _check_finite(sample_set)
     k, q = sample_set.params.shape
     m = sample_set.grid.m
     parts = [
@@ -200,7 +208,8 @@ def save_dataset(sample_set: SampleSet, path: Union[str, Path]) -> None:
 
 
 def load_dataset(path: Union[str, Path]) -> SampleSet:
-    """Read a container written by save_dataset, validating shape and version."""
+    """Read a container written by save_dataset, validating shape, version
+    and finite values."""
     with Reader(path, DatasetFormatError) as reader:
         if reader.take(4) != _MAGIC:
             raise DatasetFormatError(f"{path}: not a dataset file (bad magic)")
@@ -216,7 +225,9 @@ def load_dataset(path: Union[str, Path]) -> SampleSet:
         reader.expect_end()
         params = np.frombuffer(payload[: 8 * k * q], dtype="<f8").reshape(k, q).copy()
         targets = np.frombuffer(payload[8 * k * q :], dtype="<f8").reshape(k, m).copy()
-        return SampleSet(role=role, params=params, targets=targets, grid=TimeGrid(t0, tf, m), seed=seed)
+        sample_set = SampleSet(role=role, params=params, targets=targets, grid=TimeGrid(t0, tf, m), seed=seed)
+        _check_finite(sample_set)
+        return sample_set
 
 
 def export_dataset_csv(sample_set: SampleSet, path: Union[str, Path]) -> None:

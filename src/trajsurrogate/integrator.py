@@ -1,15 +1,16 @@
 """Adaptive implicit BDF integration of stiff ODE/DAE initial value problems.
 
 Orders 1 and 2 with local error control; each implicit step is solved by a
-damped modified Newton iteration on the residual
+modified Newton iteration on the residual
 
     M(p) (a0*x_new + history_terms)/h - f(t_new, x_new, p) = 0
 
-with iteration matrix (a0/h)*M - df/dx.  Accepted steps record the state and
-the BDF difference-quotient derivative, from which a cubic Hermite dense
-output reconstructs the solution on an arbitrary uniform grid (algebraic
-components fall back to linear interpolation).  The fixed-step driver takes
-the same start-up and steps at t0 + k*h without error control.
+with iteration matrix (a0/h)*M - df/dx; an iterate whose residual cannot be
+evaluated ends it unconverged.  Accepted steps record the state and the BDF
+difference-quotient derivative, from which a cubic Hermite dense output
+reconstructs the solution on an arbitrary uniform grid (algebraic components
+fall back to linear interpolation).  The fixed-step driver takes the same
+start-up and steps at t0 + k*h without error control.
 """
 
 from __future__ import annotations
@@ -201,7 +202,11 @@ def _initial_step(spec: SystemSpec, x0: np.ndarray, slope0: np.ndarray, tol: Tol
 
 
 class _Newton:
-    """Damped modified Newton for one implicit step; reuses df/dx across steps.
+    """Modified Newton for one implicit step; reuses df/dx across steps.
+
+    Each iteration takes the full update.  An iterate whose residual cannot be
+    evaluated ends the solve unconverged with the last evaluable one; the
+    adaptive driver then retries the step with a fresh Jacobian, then halves it.
 
     Iterates, steps and residuals are lists of floats.  The rhs, the Jacobian,
     the mass product and the linear solve take and give NumPy arrays, whose
@@ -243,20 +248,13 @@ class _Newton:
             if not all(map(math.isfinite, dx)):
                 return x, False, it  # singular iteration matrix or overflow
 
-            # damp the update until the residual is evaluable and finite
-            lam = 1.0
-            for _ in range(8):
-                x_trial = [a + lam * d for a, d in zip(x, dx)]
-                trial_resid = self._try_residual(t_new, x_trial, a0_h, hist)
-                if trial_resid is not None:
-                    break
-                lam *= 0.5
-            else:
-                return x, False, it
-            x = x_trial
-            resid = trial_resid
+            x_new = [a + d for a, d in zip(x, dx)]
+            resid = self._try_residual(t_new, x_new, a0_h, hist)
+            if resid is None:
+                return x, False, it  # residual not evaluable at the new iterate
+            x = x_new
 
-            dnorm = max([abs(lam * d) / (atol + rtol * abs(a)) for d, a in zip(dx, x)])
+            dnorm = max([abs(d) / (atol + rtol * abs(a)) for d, a in zip(dx, x)])
             if dnorm < _NEWTON_KAPPA:
                 return x, True, it
             if dnorm > 2.0 * prev_norm:

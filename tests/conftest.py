@@ -1,11 +1,36 @@
 """Shared fixtures and toy systems for the test suite."""
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from trajsurrogate.dataset import RngSeed, SampleSet
 from trajsurrogate.dynsys import SystemSpec
 from trajsurrogate.integrator import TimeGrid
+
+
+def openblas_corename() -> str:
+    """The kernel (e.g. SkylakeX, Haswell) that NumPy's bundled OpenBLAS chose
+    on this CPU, or "unknown" when that library or its symbol is absent.  A
+    pinned digest follows the kernel's summation order, so a digest mismatch
+    names it."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so*")):
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            try:
+                corename = getattr(ctypes.CDLL(str(lib)), symbol)
+            except (OSError, AttributeError):
+                continue
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
+def kernel_note() -> str:
+    """Failure message of a digest pin: the kernel the digests were recorded on
+    and the kernel of this run."""
+    return f"digests recorded on OpenBLAS kernel SkylakeX; this run uses {openblas_corename()}"
 
 
 def decay_system(rate: float = 1.0, x0: float = 1.0, tf: float = 1.0) -> SystemSpec:

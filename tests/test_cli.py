@@ -189,6 +189,7 @@ def test_plot_data_rejects_out_of_range_index(pipeline, capsys):
     (["plot-data", "--indices", "0,-1"], "--indices: sample index -1 "),
     (["predict", "--params", "nan,2.5e-9,1.5e6,1.5e8"], "--params: 'nan,2.5e-9,1.5e6,1.5e8' holds "),
     (["predict", "--params", "2.5e-9,2.5e-9,inf,1.5e8"], "--params: '2.5e-9,2.5e-9,inf,1.5e8' holds "),
+    (["plot-data", "--indices", "0", "--role", "holdout"], "role must be one of "),
 ])
 def test_malformed_or_out_of_range_lists_are_config_errors(pipeline, capsys, argv, named):
     config, out = pipeline
@@ -561,11 +562,26 @@ def test_check_and_solver_read_plugin_results_alike(drawn):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("system", ["nosuchmodule:factory", "builtins:dict", "math:pi"])
-def test_bad_plugin_is_a_config_error(tmp_path, capsys, system):
-    config = write_config(tmp_path, tmp_path / "bad", system=system, domain={"lower": [0.0], "upper": [1.0]})
+_UNIT_DOMAIN = {"lower": [0.0], "upper": [1.0]}
+
+
+@pytest.mark.parametrize(
+    "system, domain, named",
+    [
+        ("nosuchmodule:factory", _UNIT_DOMAIN, "cannot load system factory 'nosuchmodule:factory'"),
+        ("builtins:dict", _UNIT_DOMAIN, "'builtins:dict' did not return a SystemSpec"),
+        ("math:pi", _UNIT_DOMAIN, "system factory 'math:pi' is not callable"),
+        ("rc_ladder", _UNIT_DOMAIN, "unknown system 'rc_ladder'"),
+        ("test_dataset:blowup_system", None, "plug-in systems require explicit domain bounds"),
+    ],
+    ids=["nosuchmodule:factory", "builtins:dict", "math:pi", "unknown-name", "plugin-without-domain"],
+)
+def test_bad_plugin_is_a_config_error(tmp_path, capsys, system, domain, named):
+    overrides = {"domain": domain} if domain else {}
+    config = write_config(tmp_path, tmp_path / "bad", system=system, **overrides)
     assert main(["generate", "--config", str(config)]) == 2
-    assert capsys.readouterr().err.startswith("error: ConfigError: ")
+    assert capsys.readouterr().err.startswith(f"error: ConfigError: {named}")
+    assert not list(tmp_path.rglob("*.ds"))
 
 
 _CIRCUIT_LOWER, _CIRCUIT_UPPER = [2e-9, 2e-9, 1e6, 1e8], [3e-9, 3e-9, 2e6, 2e8]

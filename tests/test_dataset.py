@@ -440,6 +440,24 @@ def test_rhs_that_turns_short_or_long_fails_only_its_row(caplog, rhs, shape):
     assert str(err.value) == f"integration failed for sample row 1: {message}"
 
 
+def _qoi_lost_below_a_tenth(x):
+    return float(x[0]) if x[0] >= 0.1 else math.nan
+
+
+def test_non_finite_trajectory_fails_only_its_row(caplog):
+    grid = TimeGrid(0.0, 1.0, 4)
+    spec = dataclasses.replace(decay_system(), qoi=lambda x: math.nan)
+    with pytest.raises(IntegrationError, match="^non-finite values in resampled trajectory$"):
+        solve_trajectory(spec, None, grid)
+    spec = dataclasses.replace(parametric_decay(), qoi=_qoi_lost_below_a_tenth)
+    params = np.array([[0.5], [5.0]])  # exp(-p0) stays above 0.1 on row 0 only
+    targets = generate_targets(spec, params, grid, on_failure="skip")
+    assert failed_rows(targets).tolist() == [1]
+    assert np.all(np.isnan(targets[1]))
+    assert np.allclose(targets[0], np.exp(-0.5 * grid.points), rtol=1e-3)
+    assert "skipped sample row 1: non-finite values in resampled trajectory" in caplog.text
+
+
 def test_singular_mass_ode_is_an_integration_error():
     with pytest.raises(IntegrationError, match="not semi-explicit index 1"):
         integrate(singular_mass_ode(), np.array([1.0]))
@@ -539,11 +557,25 @@ def test_load_rejects_fields_the_objects_refuse(tmp_path):
     unknown_stream = raw.replace(b"sampling", b"samplinG", 1)
     empty_span = raw[:29] + struct.pack("<dd", 1.0, 1.0) + raw[45:]
     nan_start = raw[:29] + struct.pack("<d", math.nan) + raw[37:]
-    for corrupt in (unknown_role, unknown_stream, empty_span, nan_start):
+    # the payload closes the file: one parameter, then two targets
+    assert raw[-24:] == struct.pack("<ddd", 1.0, 1.0, 1.0)
+    nan_param = raw[:-24] + struct.pack("<d", math.nan) + raw[-16:]
+    inf_target = raw[:-8] + struct.pack("<d", math.inf)
+    for corrupt in (unknown_role, unknown_stream, empty_span, nan_start, nan_param, inf_target):
         path.write_bytes(corrupt)
         with pytest.raises(DatasetFormatError) as err:
             load_dataset(path)
         assert str(err.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("field, value", [("params", math.nan), ("targets", -math.inf)])
+def test_save_refuses_non_finite_values(tmp_path, field, value):
+    sample_set = SampleSet("train", np.ones((2, 1)), np.ones((2, 2)), TimeGrid(0.0, 1.0, 2))
+    getattr(sample_set, field)[1, 0] = value
+    path = tmp_path / "n.ds"
+    with pytest.raises(ValueError, match="non-finite parameters or targets"):
+        save_dataset(sample_set, path)
+    assert not path.exists()
 
 
 def test_csv_export_header_and_values(tmp_path):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from trajsurrogate import training
 from trajsurrogate.dataset import RngSeed, SampleSet
 from trajsurrogate.dynsys import DimensionMismatchError
 from trajsurrogate.integrator import TimeGrid
@@ -45,7 +46,7 @@ from trajsurrogate.training import (
     write_training_log,
 )
 
-from conftest import affine_sets
+from conftest import affine_sets, kernel_note
 
 
 def quadratic_state(w0=(4.0, -3.0)):
@@ -298,6 +299,32 @@ def test_perfect_initial_fit_stops_on_gradient():
     assert record.elapsed_epochs == 0
 
 
+def test_collapsed_line_search_stops_on_min_step(monkeypatch, tmp_path):
+    sets = affine_sets(seed=8)
+    net, norm = default_net(sets)
+    two_epochs, two_record = train(net, norm, *sets, TrainConfig(method="cg", max_epochs=2))
+    calls = []
+    line_search = training._line_search
+
+    def collapse_on_third_call(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise MinStepError("line-search step below floor")
+        return line_search(*args)
+
+    monkeypatch.setattr(training, "_line_search", collapse_on_third_call)
+    result, record = train(net, norm, *sets, TrainConfig(method="cg", max_epochs=10))
+    assert record.stop_reason is StopReason.MIN_STEP
+    assert record.elapsed_epochs == 2 and len(calls) == 3
+    # the epoch that raised leaves no record, and the best of the two before it is returned
+    assert (record.mse_train, record.mse_valid) == (two_record.mse_train, two_record.mse_valid)
+    assert record.best_epoch == int(np.argmin(record.mse_valid)) + 1
+    assert pack(result).tobytes() == pack(two_epochs).tobytes()
+    path = tmp_path / "log.csv"
+    write_training_log(record, path)
+    assert path.read_text().splitlines()[-2] == "# stop_reason,MinStep"
+
+
 def test_non_finite_targets_raise():
     # an inf target or an empty set in any role is refused before any set is
     # factored or evaluated: no RuntimeWarning (an error in this suite), and
@@ -405,9 +432,9 @@ def test_fit_matches_recorded_iterates_bitwise(method, kind):
     norm = Normalizer.from_training(sets[0].params, sets[0].targets)
     result, record = train(net, norm, *sets, TrainConfig(method=method, max_epochs=40))
     epochs, stop, record_sha, weights_sha = _RECORDED_FITS[method, kind]
-    assert (record.elapsed_epochs, record.stop_reason) == (epochs, stop)
-    assert _digest(record.mse_train + record.mse_valid + record.mse_test) == record_sha
-    assert _digest(pack(result)) == weights_sha
+    assert (record.elapsed_epochs, record.stop_reason) == (epochs, stop), kernel_note()
+    assert _digest(record.mse_train + record.mse_valid + record.mse_test) == record_sha, kernel_note()
+    assert _digest(pack(result)) == weights_sha, kernel_note()
 
 
 # A net without hidden layers trains on the QR factors of [z, 1], like any
@@ -435,9 +462,9 @@ def test_hidden_free_purelin_fit_matches_recorded_iterates_bitwise(method):
     norm = Normalizer.from_training(sets[0].params, sets[0].targets)
     result, record = train(net, norm, *sets, TrainConfig(method=method, max_epochs=40))
     epochs, stop, record_sha, weights_sha = _RECORDED_HIDDEN_FREE[method]
-    assert (record.elapsed_epochs, record.stop_reason) == (epochs, stop)
-    assert _digest(record.mse_train + record.mse_valid + record.mse_test) == record_sha
-    assert _digest(pack(result)) == weights_sha
+    assert (record.elapsed_epochs, record.stop_reason) == (epochs, stop), kernel_note()
+    assert _digest(record.mse_train + record.mse_valid + record.mse_test) == record_sha, kernel_note()
+    assert _digest(pack(result)) == weights_sha, kernel_note()
 
 
 # (epochs, stop reason, best epoch) on affine_sets seeds 11, 12, 14, 21, 22;
