@@ -37,9 +37,9 @@ from .dynsys import ParameterDomain, PluginResultError, SystemSpec, circuit_syst
 from .evaluation import ErrorReport, error_stats, format_error_table, write_report_csv
 from .integrator import TimeGrid, ToleranceSettings, solve_trajectory
 from .neuralnet import (
-    NetworkParams,
     Normalizer,
     TransferKind,
+    check_sets,
     forward,
     init_weights,
     load_model,
@@ -251,16 +251,6 @@ def _load_model(path: Path):
     return load_model(path)
 
 
-def _check_widths(net: NetworkParams, sample_set: SampleSet) -> None:
-    """A model maps q parameters to m grid values; the data must agree."""
-    q, m = net.sizes[0], net.sizes[-1]
-    if (q, m) != (sample_set.q, sample_set.grid.m):
-        raise ConfigError(
-            f"model maps {q} parameters to {m} grid points, but the {sample_set.role} "
-            f"set has q={sample_set.q} and m={sample_set.grid.m}"
-        )
-
-
 def _check_system(spec: SystemSpec, domain: ParameterDomain) -> None:
     """Read each plug-in callable once at the domain midpoint through the solver's
     accessors, so that a result it cannot read is a ConfigError before any solve."""
@@ -353,11 +343,10 @@ def cmd_evaluate(
     out = _out_dir(cfg)
     net, norm, metadata = _load_model(Path(model_path) if model_path else out / "model.tjn")
     sets = _load_sets(Path(data_dir) if data_dir else out)
+    check_sets(net, *sets.values())
 
     label = f"{metadata.get('method', '?')}/{metadata.get('transfer', '?')}"
     reports = {}
-    for role in ROLES:
-        _check_widths(net, sets[role])
     for role in ROLES:
         report = error_stats(net, norm, sets[role])
         reports[role] = report
@@ -416,7 +405,7 @@ def cmd_plot_data(cfg: RunConfig, indices: str, role: str = "test") -> None:
     if role not in ROLES:
         raise ConfigError(f"role must be one of {ROLES}")
     sample_set = _load_sets(out)[role]
-    _check_widths(net, sample_set)
+    check_sets(net, sample_set)
     idx_list = _parse_list("--indices", indices, int)
     for idx in idx_list:
         if not 0 <= idx < sample_set.k:

@@ -24,7 +24,9 @@ PERIOD = 0.1  # seconds
 
 
 class DimensionMismatchError(ValueError):
-    """State or parameter vector has the wrong length."""
+    """Shapes disagree: a state or parameter vector has the wrong length, or a
+    net and a sample set differ in the widths q and m or in the time span
+    (`neuralnet.check_sets`)."""
 
 
 class IntegrationError(RuntimeError):

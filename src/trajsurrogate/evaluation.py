@@ -16,7 +16,7 @@ from typing import Dict, List, Union
 import numpy as np
 
 from .dataset import ROLES, SampleSet
-from .neuralnet import NetworkParams, Normalizer, forward
+from .neuralnet import NetworkParams, Normalizer, check_sets, forward
 
 
 class ZeroDenominatorError(ValueError):
@@ -74,17 +74,13 @@ def total_variation(traj: np.ndarray) -> float:
 def error_stats(net: NetworkParams, norm: Normalizer, sample_set: SampleSet) -> ErrorReport:
     """Evaluate the surrogate on every sample and aggregate the errors.
 
-    ``errors`` is l1_relative_error of the (k, m) predictions and targets,
-    so row i is l1_relative_error of sample i, to the bit.
+    The set must pass `check_sets` against the net.  ``errors`` is
+    l1_relative_error of the (k, m) predictions and targets, so row i is
+    l1_relative_error of sample i, to the bit.
     """
-    if sample_set.k == 0:
-        raise ValueError("empty sample set")
+    check_sets(net, sample_set)
     preds = forward(net, norm, sample_set.params)
     targets = sample_set.targets
-    if preds.shape[1] != targets.shape[1]:
-        raise ValueError(
-            f"prediction width {preds.shape[1]} differs from target width {targets.shape[1]}"
-        )
     errors = l1_relative_error(preds, targets, sample_set.grid.t0, sample_set.grid.tf)
     diff = preds - targets
     return ErrorReport(

@@ -299,11 +299,13 @@ def integrate(
 
             clamped = t + h >= spec.tf
             h_eff = spec.tf - t if clamped else h
-            if h_eff < _MIN_STEP and not clamped:
-                raise StepUnderflowError(
-                    f"step {h_eff:.3e} below the step floor {_MIN_STEP:.3e} at t={t:.6g}"
-                )
             t_new = spec.tf if clamped else t + h_eff
+            # a step under half of t's ulp leaves t where it is, however far above the floor
+            if not clamped and (h_eff < _MIN_STEP or t_new == t):
+                raise StepUnderflowError(
+                    f"step {h_eff:.3e} at t={t:.6g} is below the step floor {_MIN_STEP:.3e} "
+                    "or does not advance t"
+                )
 
             order, x_pred, a0_h, hist = _predict(times, states, derivs, t_new, h_eff)
             x_n = states[-1]

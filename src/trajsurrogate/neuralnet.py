@@ -19,7 +19,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ._container import Reader, pack_str
-from .dataset import RngSeed
+from .dataset import RngSeed, SampleSet
 from .dynsys import DimensionMismatchError
 
 _MAGIC = b"TJNN"
@@ -192,6 +192,22 @@ def _check_input(net: NetworkParams, p: np.ndarray) -> np.ndarray:
     if p.shape[-1] != q:
         raise DimensionMismatchError(f"input has {p.shape[-1]} components, network expects {q}")
     return p
+
+
+def check_sets(net: NetworkParams, *sets: SampleSet) -> None:
+    """The rule that binds a net to the sample sets it is fit or scored on,
+    checked in this order for each set: it is non-empty (ValueError), it has
+    the net's widths q and m, and it spans the first set's (t0, tf)
+    (DimensionMismatchError)."""
+    q, m = net.sizes[0], net.sizes[-1]
+    t0, tf = sets[0].grid.t0, sets[0].grid.tf
+    for s in sets:
+        if s.k == 0:
+            raise ValueError(f"empty sample set ({s.role})")
+        if (s.q, s.grid.m) != (q, m):
+            raise DimensionMismatchError(f"{s.role} set has widths {s.q} -> {s.grid.m}, the net {q} -> {m}")
+        if (s.grid.t0, s.grid.tf) != (t0, tf):
+            raise DimensionMismatchError(f"{s.role} set spans [{s.grid.t0}, {s.grid.tf}], not [{t0}, {tf}]")
 
 
 def _forward_stack(net: NetworkParams, z: np.ndarray) -> List[np.ndarray]:

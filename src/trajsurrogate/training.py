@@ -25,6 +25,7 @@ from .neuralnet import (
     Normalizer,
     OutputFactors,
     TransferKind,
+    check_sets,
     gradient,
     hidden_features,
     loss_mse,
@@ -46,10 +47,6 @@ class StopReason(enum.Enum):
 
 class NonFiniteLossError(RuntimeError):
     """Training diverged to a non-finite loss."""
-
-
-class ConfigMismatchError(RuntimeError):
-    """Network, normalizer, and sample sets are dimensionally incompatible."""
 
 
 class MinStepError(RuntimeError):
@@ -308,21 +305,6 @@ def early_stop_check(valid_history: Sequence[float], patience: int) -> bool:
     return rule.streak >= patience
 
 
-def _check_compatible(
-    net: NetworkParams, train_set: SampleSet, valid_set: SampleSet, test_set: SampleSet
-) -> None:
-    q, m = train_set.q, train_set.grid.m
-    for s in (train_set, valid_set, test_set):
-        if s.q != q or s.grid.m != m:
-            raise ConfigMismatchError(f"{s.role} set has q={s.q}, m={s.grid.m}; expected q={q}, m={m}")
-        if (s.grid.t0, s.grid.tf) != (train_set.grid.t0, train_set.grid.tf):
-            raise ConfigMismatchError(f"{s.role} set grid span differs from the training grid")
-    if net.sizes[0] != q or net.sizes[-1] != m:
-        raise ConfigMismatchError(
-            f"network maps {net.sizes[0]} -> {net.sizes[-1]}, data needs {q} -> {m}"
-        )
-
-
 def train(
     net: NetworkParams,
     norm: Normalizer,
@@ -335,7 +317,8 @@ def train(
     epoch with the lowest validation MSE (the initial weights count as epoch 0).
     All three sets are required; the test MSE is recorded and steers nothing.
 
-    Every set must be non-empty (ValueError) and finite (NonFiniteLossError
+    The sets must pass `check_sets` against the net (non-empty, the net's
+    widths, the training set's time span) and be finite (NonFiniteLossError
     naming its role); both are checked before anything is evaluated.
 
     Trained layers that are affine on a fixed input are evaluated on the QR
@@ -356,12 +339,10 @@ def train(
     into the optimizer's flat weight vector, and the gradient at an accepted
     point reuses the forward pass of the loss evaluated at that same array.
     """
-    _check_compatible(net, train_set, valid_set, test_set)
+    check_sets(net, train_set, valid_set, test_set)
 
     sets = {"train": train_set, "valid": valid_set, "test": test_set}
     for s in sets.values():
-        if s.k == 0:
-            raise ValueError(f"empty sample set ({s.role})")
         if not (np.isfinite(s.params).all() and np.isfinite(s.targets).all()):
             raise NonFiniteLossError(f"{s.role} set has non-finite values")
     frozen = net.n_layers - 1 if net.hidden_transfer is TransferKind.HARDLIM else 0  # untrained hidden layers
@@ -417,8 +398,8 @@ def train(
             break
         v = mse_at(state.w, "valid")
         te = mse_at(state.w, "test")
-        if not (math.isfinite(state.loss) and math.isfinite(v)):
-            raise NonFiniteLossError(f"non-finite loss at epoch {epoch}")
+        if not math.isfinite(v):  # the steppers keep the training loss finite
+            raise NonFiniteLossError(f"non-finite validation loss at epoch {epoch}")
         mse_train.append(state.loss)
         mse_valid.append(v)
         mse_test.append(te)

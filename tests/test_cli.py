@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from trajsurrogate.cli import ConfigError, RunConfig, _check_system, main
-from trajsurrogate.dataset import ON_FAILURE, ROLES, load_dataset
+from trajsurrogate.dataset import ON_FAILURE, ROLES, SampleSet, load_dataset, save_dataset
 from trajsurrogate.dynsys import PluginResultError, circuit_system, default_domain
 from trajsurrogate.integrator import TimeGrid, solve_trajectory
 from trajsurrogate.neuralnet import TransferKind, load_model
@@ -209,11 +209,29 @@ def test_model_and_data_widths_must_agree(pipeline, tmp_path, capsys):
     capsys.readouterr()
     model = out / "model.tjn"
     assert main(["evaluate", "--config", str(config), "--model", str(model), "--data", str(other)]) == 2
-    assert "error: ConfigError" in capsys.readouterr().err
+    assert "error: DimensionMismatchError" in capsys.readouterr().err
     (other / "model.tjn").write_bytes(model.read_bytes())
     assert main(["plot-data", "--config", str(other_config), "--indices", "0"]) == 2
-    assert "error: ConfigError" in capsys.readouterr().err
+    assert "error: DimensionMismatchError" in capsys.readouterr().err
     assert not (other / "sample_0.csv").exists()
+
+
+def test_evaluate_refuses_a_set_on_another_time_span(pipeline, tmp_path, capsys):
+    config, out = pipeline
+    # the pipeline's sets with test.ds re-saved on a span ten times as long
+    other = tmp_path / "span"
+    other.mkdir()
+    for role in ROLES:
+        s = load_dataset(out / f"{role}.ds")
+        if role == "test":
+            grid = TimeGrid(s.grid.t0, 10.0 * s.grid.tf, s.grid.m)
+            s = SampleSet(role, s.params, s.targets, grid, s.seed)
+        save_dataset(s, other / f"{role}.ds")
+    argv = ["evaluate", "--config", str(config), "--model", str(out / "model.tjn"), "--data", str(other),
+            "--out", str(other)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: DimensionMismatchError: test set spans")
+    assert not list(other.glob("errors_*.csv")) and not (other / "report.txt").exists()
 
 
 def test_missing_dataset_is_reported(tmp_path, capsys):

@@ -25,6 +25,7 @@ from trajsurrogate.dataset import (
 from trajsurrogate.dynsys import ParameterDomain, SystemSpec, circuit_system, default_domain
 from trajsurrogate.integrator import (
     IntegrationError,
+    StepUnderflowError,
     TimeGrid,
     ToleranceSettings,
     integrate,
@@ -77,6 +78,22 @@ def unbounded_decay() -> SystemSpec:
 def nan_end_decay() -> SystemSpec:
     """parametric_decay ending at NaN: refused at construction."""
     return parametric_decay(tf=math.nan)
+
+
+def _relaxation_rhs(t, x, p):
+    return -p[0] * (x - 1.0)
+
+
+def _zero_initial(p):
+    return np.zeros(1)
+
+
+def late_relaxation() -> SystemSpec:
+    """x' = -p0*(x - 1) from x = 0 on [1e6, 1e6 + 1], where t's spacing is
+    1.16e-10: rows with a large p0 ask for a step that leaves t unchanged."""
+    return dataclasses.replace(
+        parametric_decay(), rhs=_relaxation_rhs, initial=_zero_initial, t0=1e6, tf=1e6 + 1.0
+    )
 
 
 def _blowup_rhs(t, x, p):
@@ -405,6 +422,20 @@ def test_skip_leaves_nan_rows():
     assert np.all(np.isnan(targets[[1, 3]]))
     pooled = generate_targets(spec, params, grid, tol, on_failure="skip", workers=2)
     assert np.array_equal(pooled, targets, equal_nan=True)
+
+
+def test_step_that_does_not_advance_t_fails_only_its_row(caplog):
+    # the error control asks for steps of about 1e-11 at t = 1e6: above the
+    # 1e-14 step floor, but below half of t's ulp, so t + h == t
+    spec = late_relaxation()
+    for rate in (1e6, 1e9):
+        with pytest.raises(StepUnderflowError, match="does not advance t"):
+            integrate(spec, np.array([rate]))
+    params = np.array([[1.0], [1e6]])
+    targets = generate_targets(spec, params, TimeGrid.for_system(spec, m=4), on_failure="skip")
+    assert failed_rows(targets).tolist() == [1]
+    assert np.all(np.isfinite(targets[0]))
+    assert "skipped sample row 1: step " in caplog.text
 
 
 def test_rhs_that_turns_ragged_fails_only_its_row(caplog):

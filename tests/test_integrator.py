@@ -3,9 +3,11 @@
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -531,3 +533,36 @@ def test_circuit_solution_tolerance_consistency():
     y2 = solve_trajectory(spec, p, grid, ToleranceSettings(rtol=1e-6, atol=1e-8))
     rel = np.sum(np.abs(y1 - y2)) / np.sum(np.abs(y2))
     assert rel < 1e-2
+
+
+def _reference_module():
+    """perfbench/reference.py, loaded by path: the circuit with x3 eliminated
+    through a bracketed root, integrated by SciPy's Radau at rtol 1e-7."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.slow
+def test_circuit_solve_matches_an_independent_reference():
+    # the midpoint and the 16 corners of the domain, judged by the largest
+    # deviation relative to the reference's peak (perfbench's checks do the same).
+    # Both maxima lie at the corner (2e-9, 2e-9, 1e6, 2e8), measured on x86-64:
+    # 7.05e-4 at the default tolerances, under criterion 1's bound 1e-3 (margin 1.4x),
+    # and 1.67e-6 at rtol 1e-8, atol 1e-10, the reference's own accuracy
+    # (rtol 1e-7), under 1e-5 (margin 6x). About 20 s: 6 s of reference solves
+    # and 14 s of tight ones.
+    reference = _reference_module()
+    domain, spec = default_domain(), circuit_system()
+    grid = TimeGrid.for_system(spec, m=200)
+    corners = itertools.product(*zip(domain.lower, domain.upper))
+    points = [domain.midpoint()] + [np.array(c) for c in corners]
+    refs = np.array([reference.reference_trajectory(p, grid.m) for p in points])
+    peaks = np.max(np.abs(refs), axis=1)
+    for tol, bound in ((ToleranceSettings(), 1e-3), (ToleranceSettings(rtol=1e-8, atol=1e-10), 1e-5)):
+        rows = np.array([solve_trajectory(spec, p, grid, tol) for p in points])
+        deviations = np.max(np.abs(rows - refs), axis=1) / peaks
+        worst = int(np.argmax(deviations))
+        assert deviations[worst] < bound, f"{tol}: {deviations[worst]:.3g} of the peak at {points[worst]}"

@@ -28,7 +28,6 @@ from trajsurrogate.neuralnet import (
     loss_mse,
 )
 from trajsurrogate.training import (
-    ConfigMismatchError,
     MinStepError,
     NonFiniteLossError,
     StopReason,
@@ -350,11 +349,23 @@ def test_incompatible_shapes_raise():
     sets = affine_sets(seed=9)
     net, norm = default_net(sets)
     wrong_q = init_weights([2, 8, 5], TransferKind.PURELIN, RngSeed(1, "weights"))
-    with pytest.raises(ConfigMismatchError):
+    with pytest.raises(DimensionMismatchError):
         train(wrong_q, norm, *sets, TrainConfig())
     wrong_m = init_weights([3, 8, 4], TransferKind.PURELIN, RngSeed(1, "weights"))
-    with pytest.raises(ConfigMismatchError):
+    with pytest.raises(DimensionMismatchError):
         train(wrong_m, norm, *sets, TrainConfig())
+
+
+def test_sets_on_another_time_span_raise():
+    # the widths agree, so only the span tells the sets apart
+    sets = affine_sets(seed=9)
+    net, norm = default_net(sets)
+    for i, s in enumerate(sets[1:], start=1):
+        grid = TimeGrid(s.grid.t0, 10.0 * s.grid.tf, s.grid.m)
+        roles = list(sets)
+        roles[i] = SampleSet(s.role, s.params, s.targets, grid)
+        with pytest.raises(DimensionMismatchError, match=f"{s.role} set spans"):
+            train(net, norm, *roles, TrainConfig(max_epochs=5))
 
 
 def test_hardlim_training_freezes_hidden_layers():
