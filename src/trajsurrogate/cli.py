@@ -277,12 +277,17 @@ def cmd_generate(cfg: RunConfig, csv_export: bool = False) -> None:
     seed = RngSeed(cfg.seed_data, "sampling")
     all_params = sample_parameters(domain, sum(counts), seed)
 
+    # every role is solved before any file is written, so a failed run leaves
+    # the files of the previous one whole
+    solved = []
     for role, params in zip(ROLES, np.split(all_params, np.cumsum(counts)[:-1])):
         t_start = time.perf_counter()
         targets = generate_targets(
             spec, params, grid, tol, on_failure=cfg.on_failure, workers=cfg.workers
         )
-        elapsed = time.perf_counter() - t_start
+        solved.append((role, params, targets, time.perf_counter() - t_start))
+
+    for role, params, targets, elapsed in solved:
         bad = failed_rows(targets)
         params, targets = np.delete(params, bad, axis=0), np.delete(targets, bad, axis=0)
         sample_set = SampleSet(role, params, targets, grid, seed)

@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._container import Reader, pack_str
+from ._container import Reader, f64, pack_str, write
 from .dynsys import ParameterDomain, SystemSpec
 from .integrator import IntegrationError, TimeGrid, ToleranceSettings, solve_trajectory
 
@@ -178,21 +178,12 @@ def failed_rows(targets: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.isnan(targets).any(axis=1))
 
 
-def _check_finite(sample_set: SampleSet) -> None:
-    """The rule of the dataset file: every parameter and target is finite."""
-    if not (np.isfinite(sample_set.params).all() and np.isfinite(sample_set.targets).all()):
-        raise ValueError("non-finite parameters or targets")
-
-
 def save_dataset(sample_set: SampleSet, path: Union[str, Path]) -> None:
     """Write the binary container; lossless round-trip with load_dataset.
     A non-finite parameter or target is a ValueError."""
-    _check_finite(sample_set)
     k, q = sample_set.params.shape
     m = sample_set.grid.m
     parts = [
-        _MAGIC,
-        struct.pack("<H", _VERSION),
         pack_str(sample_set.role),
         struct.pack("<IIQ", q, m, k),
         struct.pack("<dd", sample_set.grid.t0, sample_set.grid.tf),
@@ -202,32 +193,22 @@ def save_dataset(sample_set: SampleSet, path: Union[str, Path]) -> None:
     else:
         parts.append(struct.pack("<BQ", 1, sample_set.seed.value))
         parts.append(pack_str(sample_set.seed.stream))
-    parts.append(sample_set.params.astype("<f8").tobytes(order="C"))
-    parts.append(sample_set.targets.astype("<f8").tobytes(order="C"))
-    Path(path).write_bytes(b"".join(parts))
+    parts += [f64(sample_set.params), f64(sample_set.targets)]
+    write(path, _MAGIC, _VERSION, parts)
 
 
 def load_dataset(path: Union[str, Path]) -> SampleSet:
     """Read a container written by save_dataset, validating shape, version
     and finite values."""
-    with Reader(path, DatasetFormatError) as reader:
-        if reader.take(4) != _MAGIC:
-            raise DatasetFormatError(f"{path}: not a dataset file (bad magic)")
-        (version,) = reader.unpack("<H")
-        if version != _VERSION:
-            raise DatasetFormatError(f"{path}: unsupported version {version}")
+    with Reader(path, DatasetFormatError, _MAGIC, _VERSION, "dataset") as reader:
         role = reader.take_str()
         q, m, k = reader.unpack("<IIQ")
         t0, tf = reader.unpack("<dd")
         (has_seed,) = reader.unpack("<B")
         seed = RngSeed(reader.unpack("<Q")[0], reader.take_str()) if has_seed else None
-        payload = reader.take(8 * k * (q + m))
+        params, targets = reader.take_f64(k, q), reader.take_f64(k, m)
         reader.expect_end()
-        params = np.frombuffer(payload[: 8 * k * q], dtype="<f8").reshape(k, q).copy()
-        targets = np.frombuffer(payload[8 * k * q :], dtype="<f8").reshape(k, m).copy()
-        sample_set = SampleSet(role=role, params=params, targets=targets, grid=TimeGrid(t0, tf, m), seed=seed)
-        _check_finite(sample_set)
-        return sample_set
+        return SampleSet(role=role, params=params, targets=targets, grid=TimeGrid(t0, tf, m), seed=seed)
 
 
 def export_dataset_csv(sample_set: SampleSet, path: Union[str, Path]) -> None:

@@ -18,7 +18,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._container import Reader, pack_str
+from ._container import Reader, f64, pack_str, write
 from .dataset import RngSeed, SampleSet
 from .dynsys import DimensionMismatchError
 
@@ -484,64 +484,42 @@ def init_weights(sizes: Sequence[int], kind: TransferKind, seed: RngSeed) -> Net
     return NetworkParams(weights, biases, kind)
 
 
-def _check_finite(net: NetworkParams) -> None:
-    """The rule of the model file: every weight and bias is finite."""
-    if not all(np.all(np.isfinite(a)) for a in net.weights + net.biases):
-        raise ValueError("non-finite weights or biases")
-
-
 def save_model(
     net: NetworkParams,
     norm: Normalizer,
     path: Union[str, Path],
     metadata: Optional[Dict] = None,
 ) -> None:
-    """Write the self-describing binary model container."""
-    _check_finite(net)
+    """Write the self-describing binary model container.  A non-finite weight
+    or bias is a ValueError."""
     sizes = net.sizes
     parts = [
-        _MAGIC,
-        struct.pack("<H", _VERSION),
         pack_str(net.hidden_transfer.value),
         struct.pack("<H", net.n_layers),
         struct.pack(f"<{len(sizes)}I", *sizes),
     ]
-    for arr in (norm.in_min, norm.in_max, norm.out_min, norm.out_max):
-        parts.append(arr.astype("<f8").tobytes())
+    parts += [f64(arr) for arr in (norm.in_min, norm.in_max, norm.out_min, norm.out_max)]
     for w, b in zip(net.weights, net.biases):
-        parts.append(w.astype("<f8").tobytes(order="C"))
-        parts.append(b.astype("<f8").tobytes())
+        parts += [f64(w), f64(b)]
     meta = json.dumps(metadata or {}, sort_keys=True).encode("utf-8")
-    parts.append(struct.pack("<I", len(meta)))
-    parts.append(meta)
-    Path(path).write_bytes(b"".join(parts))
+    parts += [struct.pack("<I", len(meta)), meta]
+    write(path, _MAGIC, _VERSION, parts)
 
 
 def load_model(path: Union[str, Path]) -> Tuple[NetworkParams, Normalizer, Dict]:
     """Read a container written by save_model; lossless round-trip."""
-    with Reader(path, ModelFormatError) as reader:
-        if reader.take(4) != _MAGIC:
-            raise ModelFormatError(f"{path}: not a model file (bad magic)")
-        (version,) = reader.unpack("<H")
-        if version != _VERSION:
-            raise ModelFormatError(f"{path}: unsupported version {version}")
+    with Reader(path, ModelFormatError, _MAGIC, _VERSION, "model") as reader:
         kind = TransferKind(reader.take_str())
         (n_layers,) = reader.unpack("<H")
         sizes = list(reader.unpack(f"<{n_layers + 1}I"))
         q, m = sizes[0], sizes[-1]
-
-        def take_f64(n: int) -> np.ndarray:
-            return np.frombuffer(reader.take(8 * n), dtype="<f8").copy()
-
-        norm = Normalizer(take_f64(q), take_f64(q), take_f64(m), take_f64(m))
+        norm = Normalizer(*(reader.take_f64(n) for n in (q, q, m, m)))
         weights, biases = [], []
         for j in range(n_layers):
-            weights.append(take_f64(sizes[j + 1] * sizes[j]).reshape(sizes[j + 1], sizes[j]))
-            biases.append(take_f64(sizes[j + 1]))
+            weights.append(reader.take_f64(sizes[j + 1], sizes[j]))
+            biases.append(reader.take_f64(sizes[j + 1]))
         (meta_len,) = reader.unpack("<I")
         metadata = json.loads(reader.take(meta_len).decode("utf-8"))
         reader.expect_end()
-        net = NetworkParams(weights, biases, kind)
-        _check_finite(net)
-        return net, norm, metadata
+        return NetworkParams(weights, biases, kind), norm, metadata
 

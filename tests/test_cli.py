@@ -387,6 +387,28 @@ def test_plugin_failure_aborts_at_first_failed_row(tmp_path, capsys):
     )
 
 
+def test_failed_generate_leaves_the_previous_run_whole(tmp_path, capsys):
+    from trajsurrogate.dataset import RngSeed, sample_parameters
+    from trajsurrogate.dynsys import ParameterDomain
+
+    out = tmp_path / "run"
+    names = ("train.ds", "validation.ds", "test.ds", "run_config.json")
+    blowup = dict(system="test_dataset:blowup_system", grid={"m": 4})
+    config = write_config(tmp_path, out, domain={"lower": [0.2], "upper": [0.9]}, seed_data=1, **blowup)
+    assert main(["generate", "--config", str(config)]) == 0
+    before = {name: (out / name).read_bytes() for name in names}
+    # every train row of the second run solves (p0 < 1) and its first validation row fails
+    draws = sample_parameters(ParameterDomain(np.array([0.2]), np.array([2.0])), 12, RngSeed(111))[:, 0]
+    assert np.all(draws[:6] < 1.0) and draws[6] > 1.0
+    config = write_config(tmp_path, out, domain={"lower": [0.2], "upper": [2.0]}, seed_data=111, **blowup)
+    capsys.readouterr()
+    assert main(["generate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: TargetGenerationError: integration failed for sample row 0: "
+    )
+    assert {name: (out / name).read_bytes() for name in names} == before
+
+
 def test_plugin_failure_is_skipped_and_reported(tmp_path, capsys):
     config = _blowup_config(tmp_path, "skip")
     assert main(["generate", "--config", str(config)]) == 0

@@ -1,6 +1,7 @@
 """Sampling, target generation, and dataset persistence."""
 
 import dataclasses
+import hashlib
 import math
 import struct
 
@@ -543,6 +544,45 @@ def test_round_trip_without_seed_and_empty(tmp_path):
     assert loaded.grid == grid
 
 
+# The bytes of save_dataset on sets built from literal arrays, so that no BLAS
+# or SIMD kernel enters them.  (name, sha256 of the file)
+_PINNED_DATASET_FILES = {
+    "seeded": "a26b0fe9dac6ae1df6e8ba06392500849365429c19db6b298a17b858678f0478",
+    "unseeded, empty": "eb574eba3c62fc8bf55454edc996433ba29391074651226cb2580777a2b8c46c",
+}
+
+
+def _pinned_sets():
+    seeded = SampleSet(
+        "validation",
+        np.array([[0.25, -1.5], [3.0, 1e-300], [-0.0, 7.125]]),
+        np.array([[1.0, -2.0, 0.1], [4.5, 5e-324, -6.0], [1e300, 0.3, -0.7]]),
+        TimeGrid(0.0, 0.5, 3),
+        seed=RngSeed(2**63 + 5, "sampling"),
+    )
+    empty = SampleSet("test", np.empty((0, 2)), np.empty((0, 4)), TimeGrid(-1.0, 2.5, 4))
+    return {"seeded": seeded, "unseeded, empty": empty}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_DATASET_FILES))
+def test_dataset_file_bytes_match_recorded_digest(tmp_path, name):
+    path = tmp_path / "pinned.ds"
+    save_dataset(_pinned_sets()[name], path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_DATASET_FILES[name]
+
+
+def test_row_count_beyond_the_file_is_truncation(tmp_path):
+    grid = TimeGrid(0.0, 1.0, 2)
+    path = tmp_path / "huge.ds"
+    save_dataset(SampleSet("train", np.ones((1, 1)), np.ones((1, 2)), grid), path)
+    raw = path.read_bytes()
+    # magic, version and the role "train" take 13 bytes; q, m and k follow
+    assert raw[13:29] == struct.pack("<IIQ", 1, 2, 1)
+    path.write_bytes(raw[:13] + struct.pack("<IIQ", 1, 2, 2**63) + raw[29:])
+    with pytest.raises(DatasetFormatError, match="truncated file"):
+        load_dataset(path)
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.ds"
     path.write_bytes(b"NOPE" + b"\x00" * 40)
@@ -604,7 +644,7 @@ def test_save_refuses_non_finite_values(tmp_path, field, value):
     sample_set = SampleSet("train", np.ones((2, 1)), np.ones((2, 2)), TimeGrid(0.0, 1.0, 2))
     getattr(sample_set, field)[1, 0] = value
     path = tmp_path / "n.ds"
-    with pytest.raises(ValueError, match="non-finite parameters or targets"):
+    with pytest.raises(ValueError, match="^non-finite values$"):
         save_dataset(sample_set, path)
     assert not path.exists()
 

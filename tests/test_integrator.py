@@ -156,6 +156,7 @@ _RECORDED_PATHS = [
 
 
 # the path must not depend on the caller's floating-point error handling
+@pytest.mark.kernel_pinned
 @pytest.mark.parametrize("errstate", [{}, {"all": "raise"}])
 def test_adaptive_path_matches_recorded_digests(errstate):
     domain = default_domain()
@@ -185,6 +186,7 @@ _RECORDED_LOOSE_PATHS = [
 ]
 
 
+@pytest.mark.kernel_pinned
 def test_loose_tolerance_path_matches_recorded_digests():
     got = []
     for rtol, atol, _, _ in _RECORDED_LOOSE_PATHS:
@@ -204,6 +206,7 @@ _RECORDED_FIXED_STEP_PATHS = [
 ]
 
 
+@pytest.mark.kernel_pinned
 def test_fixed_step_path_matches_recorded_digests():
     systems = {"circuit": circuit_system(), "decay": decay_system(), "coupled_dae": coupled_dae()}
     got = []

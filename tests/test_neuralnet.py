@@ -470,6 +470,36 @@ def test_model_round_trip_bitwise(tmp_path):
         assert np.array_equal(a, b)
 
 
+# The bytes of save_model on a 2-3-2 net and ranges built from literal arrays,
+# so that no BLAS or SIMD kernel enters them.  (transfer, sha256 of the file)
+_PINNED_MODEL_FILES = {
+    "hardlim": "4a4fd86de28803594d35861b95f6650baddda18952381519808e5e7b62d1e83c",
+    "purelin": "8649d25a5b1be7da101866753eec329f03352b0052e8c730b8779b7742f8b9ea",
+    "tansig": "d4873f94a1cbc55bbcf4ed85b493cb6675ab8ce543f5f158b26630a0cede02c6",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_MODEL_FILES))
+def test_model_file_bytes_match_recorded_digest(tmp_path, kind):
+    net = NetworkParams(
+        [
+            np.array([[0.5, -1.25], [3.0, 1e-300], [-0.0, 0.1]]),
+            np.array([[1.0, -2.0, 0.3], [5e-324, 4.5, -6.0]]),
+        ],
+        [np.array([0.125, -0.7, 2.0]), np.array([1e300, -3.5])],
+        TransferKind(kind),
+    )
+    norm = Normalizer(
+        in_min=np.array([-1.0, 0.2]),
+        in_max=np.array([1.0, 0.2]),
+        out_min=np.array([-0.0, -8.0]),
+        out_max=np.array([2.5, 1e10]),
+    )
+    path = tmp_path / "pinned.tjn"
+    save_model(net, norm, path, metadata={"epochs": 3, "note": "pinned"})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_MODEL_FILES[kind]
+
+
 def test_model_load_rejects_corruption(tmp_path):
     net = small_net(TransferKind.TANSIG)
     norm = Normalizer.identity(2, 2)

@@ -435,6 +435,7 @@ _RECORDED_FITS = {
 }
 
 
+@pytest.mark.kernel_pinned
 @pytest.mark.parametrize("method, kind", list(_RECORDED_FITS))
 def test_fit_matches_recorded_iterates_bitwise(method, kind):
     sets = affine_sets(seed=12)
@@ -465,6 +466,7 @@ _RECORDED_HIDDEN_FREE = {
 }
 
 
+@pytest.mark.kernel_pinned
 @pytest.mark.parametrize("method", list(_RECORDED_HIDDEN_FREE))
 def test_hidden_free_purelin_fit_matches_recorded_iterates_bitwise(method):
     sets = affine_sets(seed=12)
