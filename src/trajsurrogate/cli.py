@@ -311,7 +311,7 @@ def cmd_train(cfg: RunConfig, data_dir: Optional[str] = None) -> None:
     net = init_weights(sizes, kind, RngSeed(cfg.seed_weights, "weights"))
     tcfg = cfg.train_config()
 
-    if kind is TransferKind.HARDLIM:
+    if kind is TransferKind.HARDLIM and cfg.hidden:
         print("note: hard-limit hidden layers have zero derivative; hidden weights stay "
               "at their random initialization and only the output layer is trained")
 

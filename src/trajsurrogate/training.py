@@ -14,7 +14,7 @@ import dataclasses
 import enum
 import math
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -114,12 +114,18 @@ def _view(template: NetworkParams, vec: np.ndarray) -> NetworkParams:
     return NetworkParams(weights, biases, template.hidden_transfer)
 
 
+Objective = Callable[[np.ndarray], Tuple[float, Callable[[], np.ndarray]]]
+
+
 @dataclasses.dataclass
 class OptState:
-    """Mutable state threaded through step_cg / step_oss / step_gdx."""
+    """Mutable state threaded through step_cg / step_oss / step_gdx.
 
-    loss_fn: Callable[[np.ndarray], float]
-    grad_fn: Callable[[np.ndarray], np.ndarray]
+    `objective(w)` returns the loss at w and a function that gives the
+    gradient there from the pass of that same evaluation; w must not be
+    overwritten before that function runs."""
+
+    objective: Objective
     w: np.ndarray
     loss: float
     grad: np.ndarray
@@ -132,58 +138,54 @@ class OptState:
     iters: int = 0
 
 
-def make_state(
-    loss_fn: Callable[[np.ndarray], float],
-    grad_fn: Callable[[np.ndarray], np.ndarray],
-    w0: np.ndarray,
-) -> OptState:
+def make_state(objective: Objective, w0: np.ndarray) -> OptState:
     """Initial optimizer state; raises NonFiniteLossError before any gradient
     is taken when the loss at w0 is not finite."""
     w0 = np.asarray(w0, dtype=np.float64).copy()
-    loss = float(loss_fn(w0))
+    loss, grad_at = objective(w0)
     if not math.isfinite(loss):
         raise NonFiniteLossError("initial loss is not finite")
     return OptState(
-        loss_fn=loss_fn,
-        grad_fn=grad_fn,
+        objective=objective,
         w=w0,
         loss=loss,
-        grad=np.asarray(grad_fn(w0), dtype=np.float64),
+        grad=grad_at(),
         lr=LR_INITIAL,
         velocity=np.zeros_like(w0),
     )
 
 
 def _line_search(
-    loss_fn: Callable[[np.ndarray], float],
+    objective: Objective,
     w: np.ndarray,
     d: np.ndarray,
     loss0: float,
     slope0: float,
     alpha0: float,
-) -> Tuple[float, float, np.ndarray]:
+) -> Tuple[float, float, np.ndarray, Callable[[], np.ndarray]]:
     """Backtracking with quadratic interpolation under the Armijo condition.
 
-    Returns (alpha, loss at alpha, the array w + alpha * d that loss_fn was
-    given).  Raises MinStepError when the step collapses below MIN_STEP.  On
-    an accepted trial one interpolation step refines toward the 1-D minimum,
+    Returns (alpha, loss at alpha, the array w + alpha * d that the
+    objective was given, its gradient function) of the accepted point.
+    Raises MinStepError when the step collapses below MIN_STEP.  On an
+    accepted trial one interpolation step refines toward the 1-D minimum,
     which is exact for quadratic objectives.
     """
     c1 = 1e-4
     alpha = max(alpha0, MIN_STEP)
     for _ in range(60):
         w1 = w + alpha * d
-        f1 = float(loss_fn(w1))
+        f1, grad1 = objective(w1)
         # the minimizer of the parabola through loss0, slope0 and f1
         denom = 2.0 * (f1 - loss0 - slope0 * alpha)
         aq = -slope0 * alpha * alpha / denom if math.isfinite(denom) and denom > 0.0 else math.nan
         if math.isfinite(f1) and f1 <= loss0 + c1 * alpha * slope0:
             if math.isfinite(aq) and 0.1 * alpha <= aq <= 10.0 * alpha and aq != alpha:
                 wq = w + aq * d
-                fq = float(loss_fn(wq))
+                fq, grad_q = objective(wq)
                 if math.isfinite(fq) and fq < f1 and fq <= loss0 + c1 * aq * slope0:
-                    return aq, fq, wq
-            return alpha, f1, w1
+                    return aq, fq, wq, grad_q
+            return alpha, f1, w1, grad1
         alpha = float(np.clip(aq if math.isfinite(aq) else 0.5 * alpha, 0.1 * alpha, 0.5 * alpha))
         if alpha < MIN_STEP:
             raise MinStepError(f"line-search step {alpha:.3e} below floor {MIN_STEP:.3e}")
@@ -204,13 +206,12 @@ def _descend(state: OptState, d: np.ndarray) -> None:
         alpha0 = state.alpha_prev * min(10.0, max(0.1, state.slope_prev / slope))
     else:
         alpha0 = 1.0 / max(1.0, float(np.max(np.abs(g))))
-    alpha, f_new, state.w = _line_search(state.loss_fn, state.w, d, state.loss, slope, alpha0)
+    alpha, state.loss, state.w, grad_at = _line_search(state.objective, state.w, d, state.loss, slope, alpha0)
     state.grad_prev = g
     state.direction = d
     state.slope_prev = slope
     state.alpha_prev = alpha
-    state.loss = f_new
-    state.grad = np.asarray(state.grad_fn(state.w), dtype=np.float64)
+    state.grad = grad_at()
     state.iters += 1
 
 
@@ -256,7 +257,7 @@ def step_gdx(state: OptState) -> OptState:
     """
     dw = MOMENTUM * state.velocity - (1.0 - MOMENTUM) * state.lr * state.grad
     w_try = state.w + dw
-    f_new = float(state.loss_fn(w_try))
+    f_new, grad_at = state.objective(w_try)
     if not math.isfinite(f_new) or f_new > ERR_RATIO * state.loss:
         state.lr *= LR_DOWN
         state.velocity = np.zeros_like(state.w)
@@ -266,7 +267,7 @@ def step_gdx(state: OptState) -> OptState:
         if f_new < state.loss:
             state.lr *= LR_UP
         state.loss = f_new
-        state.grad = np.asarray(state.grad_fn(state.w), dtype=np.float64)
+        state.grad = grad_at()
     state.iters += 1
     return state
 
@@ -294,15 +295,6 @@ class _Streak:
             return True
         self.streak = self.streak + 1 if v > self.best else 0
         return False
-
-
-def early_stop_check(valid_history: Sequence[float], patience: int) -> bool:
-    """True when the trailing streak of epochs above the running best
-    validation MSE has reached `patience`.  A new best or a tie resets it."""
-    rule = _Streak()
-    for v in valid_history:
-        rule.update(v)
-    return rule.streak >= patience
 
 
 def train(
@@ -336,8 +328,9 @@ def train(
 
     A tansig net with hidden layers is evaluated on the rows, through the
     pass that `forward` takes on them.  Losses and gradients run on views
-    into the optimizer's flat weight vector, and the gradient at an accepted
-    point reuses the forward pass of the loss evaluated at that same array.
+    into the optimizer's flat weight vector.  Each train-set loss evaluation
+    returns the function that gives the gradient there from the same
+    forward pass, so a gradient runs no forward pass of its own.
     """
     check_sets(net, train_set, valid_set, test_set)
 
@@ -357,22 +350,12 @@ def train(
     def mse_at(w: np.ndarray, key: str, keep: Optional[list] = None) -> float:
         return loss_mse(_view(work, w), norm, inputs[key], sets[key].targets, keep=keep)
 
-    # [w, forward pass] of the latest train-set loss, until the gradient at
-    # that same array (told apart by identity, not by value) takes it
-    kept: list = []
+    def objective(w: np.ndarray) -> Tuple[float, Callable[[], np.ndarray]]:
+        kept: list = []
+        loss = mse_at(w, "train", kept)
+        return loss, lambda: pack(gradient(_view(work, w), norm, inputs["train"], train_set.targets, fp=kept[0]))
 
-    def loss_fn(w: np.ndarray) -> float:
-        kept.clear()
-        kept.append(w)
-        return mse_at(w, "train", kept)
-
-    def grad_fn(w: np.ndarray) -> np.ndarray:
-        fp = kept.pop() if len(kept) == 2 and kept[0] is w else None
-        kept.clear()
-        g = gradient(_view(work, w), norm, inputs["train"], train_set.targets, fp=fp)
-        return pack(g)
-
-    state = make_state(loss_fn, grad_fn, pack(work))
+    state = make_state(objective, pack(work))
     valid0 = mse_at(state.w, "valid")
     if not math.isfinite(valid0):
         raise NonFiniteLossError("initial validation loss is not finite")

@@ -341,6 +341,11 @@ def test_hardlim_training_notes_the_frozen_hidden_layers(pipeline, tmp_path, cap
     )
     assert main([*argv, "--transfer", "purelin"]) == 0
     assert "note:" not in capsys.readouterr().out
+    # a net without hidden layers is one affine layer: nothing stays frozen
+    hidden_free = write_config(tmp_path, hardlim, network={"hidden": [], "transfer": "hardlim"},
+                               training={"method": "cg", "max_epochs": 5})
+    assert main(["train", "--config", str(hidden_free), "--data", str(out)]) == 0
+    assert "note:" not in capsys.readouterr().out
 
 
 def test_fit_flags_only_on_generate_and_train(tmp_path, capsys):

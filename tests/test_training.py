@@ -33,9 +33,9 @@ from trajsurrogate.training import (
     StopReason,
     TrainConfig,
     TrainMethod,
+    _Streak,
     _line_search,
     _view,
-    early_stop_check,
     make_state,
     pack,
     step_cg,
@@ -53,14 +53,11 @@ def quadratic_state(w0=(4.0, -3.0)):
     H = np.array([[2.0, 0.3], [0.3, 1.0]])
     c = np.array([1.0, -2.0])
 
-    def loss_fn(w):
+    def objective(w):
         d = w - c
-        return 0.5 * float(d @ H @ d)
+        return 0.5 * float(d @ H @ d), lambda: H @ (w - c)
 
-    def grad_fn(w):
-        return H @ (w - c)
-
-    return make_state(loss_fn, grad_fn, np.array(w0)), c
+    return make_state(objective, np.array(w0)), c
 
 
 def test_config_validation():
@@ -187,29 +184,52 @@ def test_gdx_first_step_from_rest_is_damped_descent():
     assert np.max(np.abs(state.w - (w0 - (1.0 - 0.9) * 1e-3 * g0))) < 1e-15
 
 
+@pytest.mark.parametrize("step", [step_cg, step_oss, step_gdx])
+def test_each_step_keeps_the_gradient_of_its_own_point(step):
+    # the loss and gradient a step leaves are those at the weights it leaves,
+    # also where the line search accepts its quadratic refinement
+    state, _ = quadratic_state()
+    for _ in range(6):
+        try:
+            state = step(state)
+        except MinStepError:
+            break  # the minimum is reached
+        loss, grad_at = state.objective(state.w.copy())
+        assert state.loss == loss
+        assert state.grad.tobytes() == grad_at().tobytes()
+    assert state.iters >= 2
+
+
 def test_line_search_raises_below_min_step():
     w = np.zeros(1)
     d = np.ones(1)
 
     def always_worse(v):
-        return 1.0 if v[0] == 0.0 else 2.0
+        return (1.0 if v[0] == 0.0 else 2.0), lambda: np.ones(1)
 
     with pytest.raises(MinStepError):
         _line_search(always_worse, w, d, loss0=1.0, slope0=-1.0, alpha0=1.0)
 
 
 def test_early_stop_semantics():
+    def stops(valid_history):
+        # the rule train() applies after each epoch's validation MSE, at patience 3
+        rule = _Streak()
+        for v in valid_history:
+            rule.update(v)
+        return rule.streak >= 3
+
     # monotone improvement never stops
-    assert not early_stop_check([5.0, 4.0, 3.0, 2.0], patience=3)
+    assert not stops([5.0, 4.0, 3.0, 2.0])
     # rising after the best trips once the streak reaches patience
-    assert not early_stop_check([3.0, 4.0, 5.0], patience=3)
-    assert early_stop_check([3.0, 4.0, 5.0, 6.0], patience=3)
+    assert not stops([3.0, 4.0, 5.0])
+    assert stops([3.0, 4.0, 5.0, 6.0])
     # staying above the best counts even when locally decreasing
-    assert early_stop_check([3.0, 6.0, 5.0, 4.0], patience=3)
+    assert stops([3.0, 6.0, 5.0, 4.0])
     # a new best resets the streak
-    assert not early_stop_check([3.0, 4.0, 5.0, 2.0, 2.5], patience=3)
+    assert not stops([3.0, 4.0, 5.0, 2.0, 2.5])
     # a tie with the best resets the streak as well
-    assert not early_stop_check([3.0, 4.0, 5.0, 3.0, 4.0], patience=3)
+    assert not stops([3.0, 4.0, 5.0, 3.0, 4.0])
 
 
 def default_net(sets, kind=TransferKind.PURELIN, seed=5):
@@ -537,6 +557,34 @@ def test_train_factors_every_affine_fit(monkeypatch, hidden, kind, pass_type):
     train(net, norm, *sets, TrainConfig(method="cg", max_epochs=3))
     assert set(calls) == {"loss_mse", "gradient"}
     assert set(passes) == {pass_type}
+
+
+@pytest.mark.parametrize("method", list(TrainMethod))
+@pytest.mark.parametrize("kind", list(TransferKind))
+def test_every_gradient_gets_the_pass_of_its_own_weights(monkeypatch, method, kind):
+    import trajsurrogate.neuralnet as neuralnet
+
+    # each gradient reuses a kept forward pass, and that pass is the one a
+    # fresh evaluation at the gradient's weights gives, byte for byte
+    calls = []
+
+    def checked(net, norm, params, targets, fp=None, _f=training.gradient):
+        assert fp is not None
+        fresh = neuralnet._forward_pass(net, norm, params)
+        assert type(fp) is type(fresh)
+        if isinstance(fresh, _FactoredPass):
+            assert fp.e.tobytes() == fresh.e.tobytes()
+        else:
+            assert fp.pred.tobytes() == fresh.pred.tobytes()
+            assert [a.tobytes() for a in fp.acts] == [a.tobytes() for a in fresh.acts]
+        calls.append(type(fp))
+        return _f(net, norm, params, targets, fp=fp)
+
+    monkeypatch.setattr(training, "gradient", checked)
+    sets = affine_sets(seed=17)
+    net, norm = default_net(sets, kind=kind, seed=18)
+    _, record = train(net, norm, *sets, TrainConfig(method=method, max_epochs=12))
+    assert len(calls) > 1 and record.elapsed_epochs > 1
 
 
 @pytest.mark.parametrize("sizes", [
