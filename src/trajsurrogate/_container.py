@@ -1,6 +1,8 @@
-"""The binary container of the dataset and model files: a magic tag and a
-version, then fields; float64 payloads are little-endian, C-ordered and
-finite, on save and on load."""
+"""The program's file formats.  The binary container of the dataset and
+model files: a magic tag and a version, then fields; float64 payloads are
+little-endian, C-ordered and finite, on save and on load.  Every CSV file:
+lines end in LF, and a float is the shortest text that reads back to the
+same double."""
 
 from __future__ import annotations
 
@@ -79,3 +81,16 @@ class Reader:
     def expect_end(self) -> None:
         if self.pos != len(self.buf):
             raise self.error(f"{self.path}: {len(self.buf) - self.pos} trailing bytes")
+
+
+def write_csv(path, header, rows, footer=()) -> None:
+    """Write the header row, one line per row, then the footer lines as given.
+    A Python int is written with str, every other value with repr(float(v))
+    (NumPy 2's repr of a float64 is "np.float64(...)"); lines end in LF on
+    every platform."""
+
+    def text(v) -> str:
+        return str(v) if isinstance(v, int) else repr(float(v))
+
+    lines = [",".join(header), *(",".join(map(text, row)) for row in rows), *footer]
+    Path(path).write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))

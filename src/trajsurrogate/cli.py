@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._container import write_csv
 from .dataset import (
     ON_FAILURE,
     ROLES,
@@ -230,19 +231,24 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _dataset_paths(data_dir: Path) -> Dict[str, Path]:
-    return {role: data_dir / f"{role}.ds" for role in ROLES}
+def _dataset_path(data_dir: Path, role: str) -> Path:
+    return data_dir / f"{role}.ds"
+
+
+def _load_set(data_dir: Path, role: str) -> SampleSet:
+    path = _dataset_path(data_dir, role)
+    if not path.exists():
+        raise ConfigError(f"missing dataset file {path}; run 'generate' first")
+    sample_set = load_dataset(path)
+    if sample_set.role != role:
+        raise ConfigError(f"dataset file {path} holds the {sample_set.role} set, not the {role} set")
+    if sample_set.k == 0:  # generation.on_failure 'skip' dropped every row
+        raise ConfigError(f"dataset file {path} holds no rows: every {role} row failed in 'generate'")
+    return sample_set
 
 
 def _load_sets(data_dir: Path) -> Dict[str, SampleSet]:
-    sets = {}
-    for role, path in _dataset_paths(data_dir).items():
-        if not path.exists():
-            raise ConfigError(f"missing dataset file {path}; run 'generate' first")
-        sets[role] = load_dataset(path)
-        if sets[role].k == 0:  # generation.on_failure 'skip' dropped every row
-            raise ConfigError(f"dataset file {path} holds no rows: every {role} row failed in 'generate'")
-    return sets
+    return {role: _load_set(data_dir, role) for role in ROLES}
 
 
 def _load_model(path: Path):
@@ -291,7 +297,7 @@ def cmd_generate(cfg: RunConfig, csv_export: bool = False) -> None:
         bad = failed_rows(targets)
         params, targets = np.delete(params, bad, axis=0), np.delete(targets, bad, axis=0)
         sample_set = SampleSet(role, params, targets, grid, seed)
-        path = _dataset_paths(out)[role]
+        path = _dataset_path(out, role)
         save_dataset(sample_set, path)
         if csv_export:
             export_dataset_csv(sample_set, path.with_suffix(".csv"))
@@ -351,10 +357,10 @@ def cmd_evaluate(
     check_sets(net, *sets.values())
 
     label = f"{metadata.get('method', '?')}/{metadata.get('transfer', '?')}"
-    reports = {}
-    for role in ROLES:
-        report = error_stats(net, norm, sets[role])
-        reports[role] = report
+    # every set is scored before any file is written, so a set that fails to
+    # score leaves no partial report
+    reports = {role: error_stats(net, norm, sets[role]) for role in ROLES}
+    for role, report in reports.items():
         write_report_csv(report, out / f"errors_{role}.csv")
     table = format_error_table({label: reports})
     (out / "report.txt").write_text(table)
@@ -386,8 +392,7 @@ def cmd_predict(cfg: RunConfig, params: str, compare: bool = False) -> None:
 
     spec = cfg.resolve_system()
     grid = TimeGrid.for_system(spec, m=len(y))
-    rows = np.column_stack([grid.points, y])
-    np.savetxt(out / "prediction.csv", rows, delimiter=",", header="t,y", comments="", fmt="%.17g")
+    write_csv(out / "prediction.csv", ["t", "y"], zip(grid.points, y))
     print(f"forward pass: {t_forward * 1e3:.3f} ms, wrote {out / 'prediction.csv'}")
     if not ParameterDomain(norm.in_min, norm.in_max).contains(p):
         print("note: --params lies outside the range of the training inputs; "
@@ -409,7 +414,7 @@ def cmd_plot_data(cfg: RunConfig, indices: str, role: str = "test") -> None:
     net, norm, _ = _load_model(out / "model.tjn")
     if role not in ROLES:
         raise ConfigError(f"role must be one of {ROLES}")
-    sample_set = _load_sets(out)[role]
+    sample_set = _load_set(out, role)
     check_sets(net, sample_set)
     idx_list = _parse_list("--indices", indices, int)
     for idx in idx_list:
@@ -419,10 +424,7 @@ def cmd_plot_data(cfg: RunConfig, indices: str, role: str = "test") -> None:
     for idx in idx_list:
         pred = forward(net, norm, sample_set.params[idx])
         path = out / f"sample_{idx}.csv"
-        with open(path, "w") as fh:
-            fh.write("t,y_true,y_predicted\n")
-            for row in zip(t, sample_set.targets[idx], pred):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_csv(path, ["t", "y_true", "y_predicted"], zip(t, sample_set.targets[idx], pred))
         print(f"wrote {path}")
 
 

@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._container import Reader, f64, pack_str, write
+from ._container import Reader, f64, pack_str, write, write_csv
 from .dynsys import ParameterDomain, SystemSpec
 from .integrator import IntegrationError, TimeGrid, ToleranceSettings, solve_trajectory
 
@@ -214,6 +214,5 @@ def load_dataset(path: Union[str, Path]) -> SampleSet:
 def export_dataset_csv(sample_set: SampleSet, path: Union[str, Path]) -> None:
     """Human-readable export with header p1,...,pq,y1,...,ym."""
     q, m = sample_set.q, sample_set.grid.m
-    header = ",".join([f"p{i + 1}" for i in range(q)] + [f"y{j + 1}" for j in range(m)])
-    table = np.hstack([sample_set.params, sample_set.targets])
-    np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%.17g")
+    header = [f"p{i + 1}" for i in range(q)] + [f"y{j + 1}" for j in range(m)]
+    write_csv(path, header, np.hstack([sample_set.params, sample_set.targets]))

@@ -8,13 +8,13 @@ oscillatory predictions are.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from pathlib import Path
 from typing import Dict, List, Union
 
 import numpy as np
 
+from ._container import write_csv
 from .dataset import ROLES, SampleSet
 from .neuralnet import NetworkParams, Normalizer, check_sets, forward
 
@@ -95,11 +95,8 @@ def error_stats(net: NetworkParams, norm: Normalizer, sample_set: SampleSet) -> 
 
 def write_report_csv(report: ErrorReport, path: Union[str, Path]) -> None:
     """Per-sample errors, recomputable into the aggregates."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "error", "min_abs_target"])
-        for i, (e, t) in enumerate(zip(report.errors, report.min_abs_target)):
-            writer.writerow([i, repr(float(e)), repr(float(t))])
+    rows = zip(range(report.errors.size), report.errors, report.min_abs_target)
+    write_csv(path, ["sample", "error", "min_abs_target"], rows)
 
 
 def format_error_table(reports: Dict[str, Dict[str, ErrorReport]]) -> str:

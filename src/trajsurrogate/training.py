@@ -9,7 +9,6 @@ reporting and never influences any decision.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import enum
 import math
@@ -18,6 +17,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ._container import write_csv
 from .dataset import SampleSet
 from .neuralnet import (
     NetworkGradient,
@@ -403,12 +403,6 @@ def train(
 
 def write_training_log(record: TrainRecord, path: Union[str, Path]) -> None:
     """CSV log: one row per epoch, stop reason and best epoch as a footer."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mse_train", "mse_valid", "mse_test"])
-        for i in range(record.elapsed_epochs):
-            writer.writerow(
-                [i + 1, repr(record.mse_train[i]), repr(record.mse_valid[i]), repr(record.mse_test[i])]
-            )
-        fh.write(f"# stop_reason,{record.stop_reason.value}\n")
-        fh.write(f"# best_epoch,{record.best_epoch}\n")
+    rows = zip(range(1, record.elapsed_epochs + 1), record.mse_train, record.mse_valid, record.mse_test)
+    footer = [f"# stop_reason,{record.stop_reason.value}", f"# best_epoch,{record.best_epoch}"]
+    write_csv(path, ["epoch", "mse_train", "mse_valid", "mse_test"], rows, footer)

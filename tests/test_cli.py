@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,19 @@ def write_config(tmp_path, run_dir, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def assert_csv_rule(path):
+    """Every line ends in LF alone, and every value cell reads as the program
+    writes it: an integer with str, any other number with repr(float); the
+    header and '#' footer lines are text."""
+    raw = path.read_bytes()
+    assert b"\r" not in raw, path
+    for line in raw.decode().splitlines()[1:]:
+        if not line.startswith("#"):
+            for cell in line.split(","):
+                written = str(int(cell)) if cell.lstrip("-").isdigit() else repr(float(cell))
+                assert cell == written, (path, cell)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +96,7 @@ def test_generate_csv_matches_the_datasets(tmp_path):
         saved = load_dataset(out / f"{role}.ds")
         path = out / f"{role}.csv"
         assert path.read_text().splitlines()[0] == header
+        assert_csv_rule(path)
         back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         assert np.array_equal(back, np.hstack([saved.params, saved.targets]))
 
@@ -175,6 +190,18 @@ def test_plot_data_overlays_match_dataset(pipeline):
         assert np.array_equal(rows[:, 1], test_set.targets[idx])
 
 
+def test_every_csv_has_lf_line_ends_and_shortest_round_trip_floats(pipeline):
+    config, out = pipeline
+    for command, *flags in (["evaluate"], ["predict", "--params", "2.5e-9,2.5e-9,1.5e6,1.5e8"],
+                            ["plot-data", "--indices", "0"]):
+        assert main([command, "--config", str(config), *flags]) == 0
+    paths = sorted(out.glob("*.csv"))
+    written = {"training_log.csv", "prediction.csv", "sample_0.csv"} | {f"errors_{r}.csv" for r in ROLES}
+    assert written <= {path.name for path in paths}
+    for path in paths:
+        assert_csv_rule(path)
+
+
 def test_plot_data_rejects_out_of_range_index(pipeline, capsys):
     config, _ = pipeline
     assert main(["plot-data", "--config", str(config), "--indices", "99"]) == 2
@@ -232,6 +259,53 @@ def test_evaluate_refuses_a_set_on_another_time_span(pipeline, tmp_path, capsys)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: DimensionMismatchError: test set spans")
     assert not list(other.glob("errors_*.csv")) and not (other / "report.txt").exists()
+
+
+def test_evaluate_scores_every_set_before_writing(pipeline, tmp_path, capsys):
+    config, out = pipeline
+    # the pipeline's sets with one validation target set to exactly zero
+    other = tmp_path / "zero"
+    other.mkdir()
+    for role in ROLES:
+        s = load_dataset(out / f"{role}.ds")
+        if role == "validation":
+            targets = s.targets.copy()
+            targets[1, 3] = 0.0
+            s = SampleSet(role, s.params, targets, s.grid, s.seed)
+        save_dataset(s, other / f"{role}.ds")
+    argv = ["evaluate", "--config", str(config), "--model", str(out / "model.tjn"), "--data", str(other),
+            "--out", str(other)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: ZeroDenominatorError: reference trajectory is zero at sample 1, grid index 3"
+    )
+    assert not list(other.glob("errors_*.csv")) and not (other / "report.txt").exists()
+
+
+def test_plot_data_reads_only_its_own_role(pipeline, tmp_path):
+    config, out = pipeline
+    other = tmp_path / "test-only"
+    other.mkdir()
+    for name in ("model.tjn", "test.ds"):
+        (other / name).write_bytes((out / name).read_bytes())
+    assert main(["plot-data", "--config", str(config), "--out", str(other), "--indices", "0"]) == 0
+    assert (other / "sample_0.csv").exists()
+
+
+def test_a_dataset_file_of_another_role_is_refused(pipeline, tmp_path, capsys):
+    config, out = pipeline
+    # test.ds copied over train.ds
+    other = tmp_path / "swapped"
+    other.mkdir()
+    for name in ("model.tjn", "validation.ds", "test.ds"):
+        (other / name).write_bytes((out / name).read_bytes())
+    (other / "train.ds").write_bytes((out / "test.ds").read_bytes())
+    message = f"error: ConfigError: dataset file {other / 'train.ds'} holds the test set, not the train set"
+    for argv in (["train", "--data", str(other)], ["plot-data", "--indices", "0", "--role", "train"]):
+        assert main([*argv, "--config", str(config), "--out", str(other)]) == 2
+        assert capsys.readouterr().err.strip() == message
+    assert not (other / "sample_0.csv").exists()
+    assert (other / "model.tjn").read_bytes() == (out / "model.tjn").read_bytes()
 
 
 def test_missing_dataset_is_reported(tmp_path, capsys):
@@ -319,6 +393,29 @@ def test_experiment_script_smoke(tmp_path):
         assert (out / name).exists()
     for name in ("model.tjn", "training_log.csv", "report.txt"):
         assert (out / "purelin-cg" / name).exists()
+
+
+@pytest.mark.slow
+def test_experiment_script_quick_run(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "quick"
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_experiment.py"), "--quick", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert done.returncode == 0, done.stderr
+    for name in ("summary_training.txt", "summary_errors.txt"):
+        assert (out / name).exists()
+    paths = sorted((out / "hardlim-gdx").glob("*.csv"))
+    assert [path.name for path in paths] == [
+        "errors_test.csv", "errors_train.csv", "errors_validation.csv", "training_log.csv"
+    ]
+    for path in paths:
+        assert_csv_rule(path)
 
 
 def test_method_override_beats_config(tmp_path):
